@@ -21,15 +21,6 @@ from .numbers import format_bicomplex, parse_bicomplex, to_json_dict
 
 REPORT_VERSION = 1
 
-VERIFY_ORDER = [
-    "thm2.1", "thm2.2", "examples",
-    "thm3.1", "thm3.5", "thm3.8",
-    "thm4.1", "thm4.2", "thm4.3",
-    "thm5.1", "thm5.2",
-    "thm6.1", "thm6.2", "thm6.3", "thm6.4",
-    "thm7.1", "cs-eigen",
-]
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -161,7 +152,7 @@ def _suite_kwargs(fn, args):
 
 
 def _cmd_verify(args) -> int:
-    names = VERIFY_ORDER if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in verify.SUITES:
             raise UsageError(f"unknown suite {name!r}; known: {sorted(verify.SUITES)} or 'all'")

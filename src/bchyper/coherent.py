@@ -167,6 +167,9 @@ def build_tables(spec: CoherentSpec) -> LadderTables:
         last1 = abs(raw1[-1]) ** 2 / norm1
         last2 = abs(raw2[-1]) ** 2 / norm2
         if (last1 < COEFF_FLOOR and last2 < COEFF_FLOOR) or nmax >= HARD_TRUNCATION:
+            # the result is cached and shared: freeze it against callers
+            for arr in (rho1, rho2, f1, f2, raw1, raw2):
+                arr.setflags(write=False)
             return LadderTables(
                 spec=spec, nmax=nmax,
                 rho1=rho1, rho2=rho2, f1=f1, f2=f2, raw1=raw1, raw2=raw2,

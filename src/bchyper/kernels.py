@@ -1,14 +1,12 @@
-"""Hot series kernels: numba-jitted with a pure-numpy fallback.
+"""Hot series kernels, in pure Python and numpy.
 
 The classical one-component hypergeometric sum is the inner loop of
 everything in this package (function evaluation, identity suites,
-quadrature integrands), so it is compiled with numba when available.
-Set the environment variable BCHYPER_NO_NUMBA=1 to force the pure
-Python/numpy path; ``benchmarks/bench_kernels.py`` compares the two.
+quadrature integrands).  ``series_sum`` sums one argument;
+``series_sum_many`` advances an array of arguments in lockstep.
 
 All kernels take the component parameter vectors as 1-D complex128
-arrays (length 0 is fine) and a single complex argument, and they all
-share one term recurrence:
+arrays (length 0 is fine), and they all share one term recurrence:
 
     t_0 = 1,   t_{n+1} = t_n * z * prod(a_i + n) / ((n+1) * prod(b_j + n))
 
@@ -17,23 +15,16 @@ Status codes: 0 = stop rule met, 1 = cap reached.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("BCHYPER_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+# Only the pure Python/numpy path exists; perfbench/run.py records this.
+USE_NUMBA = False
 
 STATUS_OK = 0
 STATUS_CAP = 1
 
 
-def _py_series_sum(alphas, betas, z, tol, cap, min_terms):
+def series_sum(alphas, betas, z, tol, cap, min_terms):
     """Truncated sum of the component series at argument z.
 
     Stops once three consecutive terms fall below tol * |partial sum|
@@ -79,7 +70,7 @@ def _py_series_sum(alphas, betas, z, tol, cap, min_terms):
     return total, n + 1, np.inf, STATUS_CAP
 
 
-def _py_series_sum_terminating(alphas, betas, z, last_n):
+def series_sum_terminating(alphas, betas, z, last_n):
     """Exact sum of a terminating series: terms n = 0 .. last_n inclusive."""
     p = alphas.shape[0]
     q = betas.shape[0]
@@ -97,7 +88,7 @@ def _py_series_sum_terminating(alphas, betas, z, last_n):
     return total
 
 
-def _py_coeff_table(alphas, betas, count):
+def coeff_table(alphas, betas, count):
     """Series coefficients c_0 .. c_count via the term-ratio recurrence."""
     p = alphas.shape[0]
     q = betas.shape[0]
@@ -116,7 +107,7 @@ def _py_coeff_table(alphas, betas, count):
     return out
 
 
-def _py_pochhammer(a, n):
+def pochhammer(a, n):
     """Rising factorial (a)_n by the product recurrence."""
     out = 1.0 + 0.0j
     for k in range(n):
@@ -124,12 +115,12 @@ def _py_pochhammer(a, n):
     return out
 
 
-def _py_term_ratio(alphas, betas, n):
+def term_ratio(alphas, betas, n):
     """One-step coefficient ratio c_{n+1} / c_n = prod(a+n) / ((n+1) prod(b+n)).
 
-    Exposed so recurrence checks use the same arithmetic as the table
-    builder (compiled and interpreted complex division can differ by
-    an ulp or two).
+    Exposed so ``identities.coefficient_recurrence_ulps`` checks the
+    table against the same arithmetic that ``coeff_table`` used to
+    build it, operation for operation.
     """
     num = 1.0 + 0.0j
     for i in range(alphas.shape[0]):
@@ -140,50 +131,12 @@ def _py_term_ratio(alphas, betas, n):
     return num / den
 
 
-if USE_NUMBA:
-    series_sum = njit(cache=False)(_py_series_sum)
-    series_sum_terminating = njit(cache=False)(_py_series_sum_terminating)
-    coeff_table = njit(cache=False)(_py_coeff_table)
-    pochhammer = njit(cache=False)(_py_pochhammer)
-    term_ratio = njit(cache=False)(_py_term_ratio)
-
-    @njit(cache=False)
-    def _jit_series_sum_many(alphas, betas, zs, tol, cap, min_terms):
-        m = zs.shape[0]
-        values = np.empty(m, dtype=np.complex128)
-        counts = np.empty(m, dtype=np.int64)
-        tails = np.empty(m, dtype=np.float64)
-        statuses = np.empty(m, dtype=np.int64)
-        for idx in range(m):
-            v, n, t, s = series_sum(alphas, betas, zs[idx], tol, cap, min_terms)
-            values[idx] = v
-            counts[idx] = n
-            tails[idx] = t
-            statuses[idx] = s
-        return values, counts, tails, statuses
-
-    def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
-        zs = np.ascontiguousarray(zs, dtype=np.complex128)
-        return _jit_series_sum_many(alphas, betas, zs, tol, cap, min_terms)
-
-else:
-    series_sum = _py_series_sum
-    series_sum_terminating = _py_series_sum_terminating
-    coeff_table = _py_coeff_table
-    pochhammer = _py_pochhammer
-    term_ratio = _py_term_ratio
-
-    def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
-        return numpy_series_sum_many(alphas, betas, zs, tol, cap, min_terms)
-
-
-def numpy_series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
-    """Vectorized numpy fallback over an array of arguments.
+def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
+    """Vectorized ``series_sum`` over an array of arguments.
 
     Elementwise identical arithmetic to the scalar kernel: each element
     follows the same recurrence and stop rule, numpy just advances them
-    in lockstep with a mask for finished entries.  Always importable so
-    the benchmark can compare it against the compiled path.
+    in lockstep with a mask for finished entries.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     m = zs.shape[0]

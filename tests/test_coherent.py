@@ -85,6 +85,15 @@ class TestTables:
         assert not np.isfinite(tables.rho1[-1])
         assert tables.raw1[-1] == 0.0
 
+    def test_cached_tables_are_read_only(self):
+        tables = build_tables(GLAUBER)
+        before = tables.rho1.copy()
+        with pytest.raises(ValueError):
+            tables.rho1[1] = 123.0
+        for arr in (tables.rho1, tables.rho2, tables.f1, tables.f2, tables.raw1, tables.raw2):
+            assert not arr.flags.writeable
+        assert np.array_equal(build_tables(GLAUBER).rho1, before)
+
 
 class TestNormalization:
     def test_at_zero(self):

@@ -74,6 +74,8 @@ class TestPfq:
         z = from_idempotent(0.5, 0.25)
         got = pfq_value(PfqParams([1.0, 2.0], [1.0]), z)
         assert_bc_close(got, from_idempotent(4.0, 16.0 / 9.0), 1e-12)
+        assert abs(got.idem1 - 4.0) < 4e-14
+        assert abs(got.idem2 - 16.0 / 9.0) < 4e-14
 
     def test_exp_case(self):
         z = BiComplex(1.0, 1.0)

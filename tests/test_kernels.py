@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 
 from bchyper import kernels
@@ -12,14 +8,6 @@ EMPTY = np.empty(0, dtype=np.complex128)
 
 
 class TestScalarKernel:
-    def test_matches_python_reference(self):
-        for z in (0.5 + 0j, -0.3 + 0.4j, 0.72 + 0.1j):
-            va, na, ta, sa = kernels.series_sum(GAUSS_A, GAUSS_B, z, 1e-15, 10_000, 8)
-            vb, nb, tb, sb = kernels._py_series_sum(GAUSS_A, GAUSS_B, z, 1e-15, 10_000, 8)
-            assert sa == sb == kernels.STATUS_OK
-            assert na == nb
-            assert abs(va - vb) <= 8 * np.spacing(abs(vb))
-
     def test_exp_via_empty_params(self):
         v, n, tail, status = kernels.series_sum(EMPTY, EMPTY, 0.3 + 0.1j, 1e-15, 1000, 8)
         assert status == kernels.STATUS_OK
@@ -48,14 +36,6 @@ class TestScalarKernel:
 
 
 class TestManyKernel:
-    def test_paths_agree(self, rng):
-        zs = 0.7 * rng.random(64) * np.exp(2j * np.pi * rng.random(64))
-        va, na, ta, sa = kernels.series_sum_many(GAUSS_A, GAUSS_B, zs, 1e-15, 10_000)
-        vb, nb, tb, sb = kernels.numpy_series_sum_many(GAUSS_A, GAUSS_B, zs, 1e-15, 10_000)
-        assert np.array_equal(sa, sb)
-        assert np.array_equal(na, nb)
-        assert np.max(np.abs(va - vb)) <= 1e-14
-
     def test_matches_scalar(self, rng):
         zs = 0.6 * rng.random(16) * np.exp(2j * np.pi * rng.random(16))
         values, counts, tails, statuses = kernels.series_sum_many(
@@ -95,31 +75,3 @@ class TestWindowProbe:
         delta, tmax, finite = kernels.window_probe(GAUSS_A, GAUSS_B, 2.5 + 0j, 5000, 50)
         assert not finite
 
-
-class TestEnvFlag:
-    def test_fallback_selected_by_env(self):
-        code = (
-            "import bchyper.kernels as k; "
-            "print(k.USE_NUMBA, k.series_sum is k._py_series_sum)"
-        )
-        env = dict(os.environ, BCHYPER_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.split() == ["False", "True"]
-
-    def test_fallback_evaluates_identically(self):
-        code = (
-            "import bchyper as bc; from bchyper import BiComplex, PfqParams; "
-            "v = bc.pfq_value(PfqParams([1.0, 2.0], [1.0]),"
-            " BiComplex.from_idempotent(0.5, 0.25)); "
-            "print(repr(v.idem1), repr(v.idem2))"
-        )
-        env = dict(os.environ, BCHYPER_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        got1, got2 = [complex(eval(tok)) for tok in out.stdout.strip().split(" ")]
-        assert abs(got1 - 4.0) < 4e-14
-        assert abs(got2 - 16.0 / 9.0) < 4e-14
