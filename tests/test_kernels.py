@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from bchyper import kernels
@@ -75,3 +79,22 @@ class TestWindowProbe:
         delta, tmax, finite = kernels.window_probe(GAUSS_A, GAUSS_B, 2.5 + 0j, 5000, 50)
         assert not finite
 
+
+class TestEnvFlag:
+    def test_fallback_evaluates_identically(self):
+        # the BCHYPER_NO_NUMBA switch is gone: a stale setting must be
+        # ignored, and a fresh interpreter must give the closed form
+        code = (
+            "import bchyper as bc; from bchyper import BiComplex, PfqParams; "
+            "v = bc.pfq_value(PfqParams([1.0, 2.0], [1.0]),"
+            " BiComplex.from_idempotent(0.5, 0.25)); "
+            "print(repr(v.idem1), repr(v.idem2))"
+        )
+        env = dict(os.environ, BCHYPER_NO_NUMBA="1")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        got1, got2 = [complex(eval(tok)) for tok in out.stdout.strip().split(" ")]
+        assert abs(got1 - 4.0) < 4e-14
+        assert abs(got2 - 16.0 / 9.0) < 4e-14
