@@ -3,7 +3,8 @@
 The classical one-component hypergeometric sum is the inner loop of
 everything in this package (function evaluation, identity suites,
 quadrature integrands).  ``series_sum`` sums one argument;
-``series_sum_many`` advances an array of arguments in lockstep.
+``series_sum_many`` advances an array of arguments in lockstep and
+drops each one once it stops.
 
 All kernels take the component parameter vectors as 1-D complex128
 arrays (length 0 is fine), and they all share one term recurrence:
@@ -134,34 +135,39 @@ def term_ratio(alphas, betas, n):
 def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
     """Vectorized ``series_sum`` over an array of arguments.
 
-    Elementwise identical arithmetic to the scalar kernel: each element
-    follows the same recurrence and stop rule, numpy just advances them
-    in lockstep with a mask for finished entries.
+    Each element follows the scalar kernel's recurrence and stop rule;
+    numpy advances the unfinished ones in lockstep.  A lane that meets
+    the stop rule has its results written out and is dropped, so later
+    steps cost only what is still running.
     """
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     m = zs.shape[0]
+    values = np.empty(m, dtype=np.complex128)
+    counts = np.empty(m, dtype=np.int64)
+    tails = np.full(m, np.inf, dtype=np.float64)
+    statuses = np.full(m, STATUS_CAP, dtype=np.int64)
+    # the unfinished lanes: their indices, arguments and running state
+    live = np.arange(m)
+    z = zs
     total = np.ones(m, dtype=np.complex128)
     term = np.ones(m, dtype=np.complex128)
     below = np.zeros(m, dtype=np.int64)
-    counts = np.full(m, 0, dtype=np.int64)
-    tails = np.full(m, np.inf, dtype=np.float64)
-    statuses = np.full(m, STATUS_CAP, dtype=np.int64)
-    active = np.ones(m, dtype=bool)
     n = 0
-    while n < cap and active.any():
+    while n < cap and live.size:
         num = 1.0 + 0.0j
         for a in alphas:
             num = num * (a + n)
         den = n + 1.0 + 0.0j
         for b in betas:
             den = den * (b + n)
-        step = term * (zs * (num / den))
-        term = np.where(active, step, term)
-        total = np.where(active, total + step, total)
+        term = term * (z * (num / den))
+        total = total + term
         n += 1
         small = np.abs(term) <= tol * np.abs(total)
-        below = np.where(active & small, below + 1, np.where(active, 0, below))
-        done = active & (below >= 3) & (n >= min_terms)
+        below = np.where(small, below + 1, 0)
+        if n < min_terms:
+            continue
+        done = below >= 3
         if done.any():
             rnum = 1.0
             for a in alphas:
@@ -169,14 +175,17 @@ def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
             rden = n + 1.0
             for b in betas:
                 rden = rden * abs(b + n)
-            r = np.abs(zs) * (rnum / rden)
-            tail = np.where(r < 1.0, np.abs(term) * r / (1.0 - r), np.inf)
-            tails = np.where(done, tail, tails)
-            counts = np.where(done, n + 1, counts)
-            statuses = np.where(done, STATUS_OK, statuses)
-            active = active & ~done
-    counts = np.where(statuses == STATUS_CAP, n + 1, counts)
-    return total, counts, tails, statuses
+            r = np.abs(z[done]) * rnum / rden
+            out = live[done]
+            values[out] = total[done]
+            counts[out] = n + 1
+            tails[out] = np.where(r < 1.0, np.abs(term[done]) * r / (1.0 - r), np.inf)
+            statuses[out] = STATUS_OK
+            keep = ~done
+            live, z, term, total, below = live[keep], z[keep], term[keep], total[keep], below[keep]
+    values[live] = total
+    counts[live] = n + 1
+    return values, counts, tails, statuses
 
 
 def window_probe(alphas, betas, z, cap, window):

@@ -6,11 +6,17 @@ Endpoint factors t^(a-1), (1-t)^(c-a-1) carry complex exponents, so
 plain real-weight Gauss-Jacobi with the phase left in the integrand
 would only converge algebraically.  Instead the full complex-exponent
 weight is absorbed: the Jacobi/Laguerre recurrence coefficients are
-rational in the exponents and continue analytically, and Golub-Welsch
-on the complex-symmetric tridiagonal gives nodes and weights that are
-exact for polynomials of degree 2n-1 against the complex weight.  The
-half line is split at t = 1: complex-exponent Jacobi on [0,1] captures
-the t^(v-1) endpoint, ordinary Gauss-Laguerre handles the smooth tail.
+rational in the exponents and continue analytically, and the rule is
+built from the complex-symmetric tridiagonal Jacobi matrix
+(Golub-Welsch).  Its eigenvalues alone give the nodes; one Newton step
+on the characteristic polynomial, evaluated by the orthonormal
+three-term recurrence, polishes them; the weights are
+mu0 / sum_j q_j(x)^2 over the orthonormal polynomials q_j at the
+polished nodes, which is Golub-Welsch's v_0^2 / (v . v) for the
+eigenvector v_j = q_j(x).  The rule is exact for polynomials of degree
+2n-1 against the complex weight.  The half line is split at t = 1:
+complex-exponent Jacobi on [0,1] captures the t^(v-1) endpoint,
+ordinary Gauss-Laguerre handles the smooth tail.
 """
 
 from __future__ import annotations
@@ -78,16 +84,40 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     )
     sb = np.sqrt(off)
     T = np.diag(diag) + np.diag(sb, 1) + np.diag(sb, -1)
-    vals, vecs = np.linalg.eig(T)
-    weights = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        v = vecs[:, i]
-        weights[i] = mu0 * v[0] ** 2 / (v @ v)
-    order = np.argsort(vals.real)
-    x = vals[order]
-    weights = weights[order]
+    x = np.sort_complex(np.linalg.eigvals(T))
+    # One Newton step on the characteristic polynomial p_n = det(x - T),
+    # run as the orthonormal recurrence sb[j] q_{j+1} = (x - diag[j]) q_j
+    # - sb[j-1] q_{j-1}, which stays O(1) where the monic p_n underflows
+    # at large n.  The last step has no sb to divide by; a constant
+    # factor cancels in p_n / p_n' anyway.
+    q_prev, q = np.zeros_like(x), np.ones_like(x)
+    dq_prev, dq = np.zeros_like(x), np.zeros_like(x)
+    for j in range(n):
+        step = x - diag[j]
+        q_next = step * q
+        dq_next = step * dq + q
+        if j > 0:
+            q_next -= sb[j - 1] * q_prev
+            dq_next -= sb[j - 1] * dq_prev
+        if j < n - 1:
+            q_next /= sb[j]
+            dq_next /= sb[j]
+        q_prev, q = q, q_next
+        dq_prev, dq = dq, dq_next
+    x = x - q / dq
+    # Golub-Welsch weight mu0 v_0^2 / (v . v) with the eigenvector
+    # v_j = q_j(x), taken at the polished nodes.
+    q_prev, q = np.zeros_like(x), np.ones_like(x)
+    norm = np.ones_like(x)
+    for j in range(n - 1):
+        q_next = (x - diag[j]) * q
+        if j > 0:
+            q_next -= sb[j - 1] * q_prev
+        q_next /= sb[j]
+        q_prev, q = q, q_next
+        norm += q * q
     t = (1.0 + x) / 2.0
-    weights = weights * 2.0 ** (-(ab + 1.0))
+    weights = mu0 / norm * 2.0 ** (-(ab + 1.0))
     return t, weights
 
 

@@ -51,6 +51,34 @@ class TestManyKernel:
             assert counts[i] == n
             assert statuses[i] == s
 
+    def test_mixed_stop_points_and_cap(self, rng):
+        # lanes stop after very different term counts; with cap = 20 the
+        # slow ones end on the cap while the fast ones still stop early
+        radii = np.linspace(0.05, 0.95, 24)
+        zs = radii * np.exp(2j * np.pi * rng.random(radii.size))
+        for cap in (10_000, 20):
+            values, counts, tails, statuses = kernels.series_sum_many(
+                GAUSS_A, GAUSS_B, zs, 1e-15, cap
+            )
+            for i, z in enumerate(zs):
+                v, n, t, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, cap, 8)
+                assert counts[i] == n and statuses[i] == s, (cap, abs(z))
+                # numpy's complex multiply rounds differently from Python's,
+                # and a lane's sum and last term carry the rounding of n
+                # steps, so long lanes get 4 spacings per term
+                assert abs(values[i] - v) <= 4 * n * np.spacing(abs(v))
+                if np.isfinite(t):
+                    assert abs(tails[i] - t) <= 4 * n * np.spacing(t)
+                else:
+                    assert not np.isfinite(tails[i])
+            capped = statuses == kernels.STATUS_CAP
+            if cap == 20:
+                assert 0 < capped.sum() < zs.size
+                assert np.all(counts[capped] == cap + 1)
+            else:
+                assert not capped.any()
+                assert counts.max() > 20 * counts.min()
+
 
 class TestCoeffTable:
     def test_first_coefficients(self):

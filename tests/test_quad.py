@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,21 @@ class TestJacobiRule:
             got = complex(np.sum(w * t**k))
             want = complex_gamma(0.3 + k + 1) * complex_gamma(0.6) / complex_gamma(0.9 + k + 1)
             assert abs(got - want) < 1e-13 * abs(want), k
+
+    @pytest.mark.parametrize(
+        "B, A",
+        [(0.3 + 0.35j, 1.1 - 0.3j), (-0.5 + 0.3j, 0.8 - 0.2j), (12 + 0.5j, 20 - 0.3j)],
+    )
+    def test_moments_at_128_nodes(self, B, A):
+        # the rule integrates t^k exactly through k = 2n-1, also at large
+        # exponents, where the moments span many orders of magnitude
+        n = 128
+        t, w = jacobi_rule_01(n, B, A)
+        for k in (0, 1, 7, n, 2 * n - 1):
+            got = complex(np.sum(w * t**k))
+            with mpmath.workdps(30):
+                want = complex(mpmath.beta(mpmath.mpc(B) + 1 + k, mpmath.mpc(A) + 1))
+            assert abs(got - want) <= 5e-14 * abs(want), (k, abs(got - want) / abs(want))
 
     def test_exponent_validation(self):
         with pytest.raises(PreconditionError):
