@@ -157,11 +157,13 @@ def _cmd_verify(args) -> int:
         if name not in verify.SUITES:
             raise UsageError(f"unknown suite {name!r}; known: {sorted(verify.SUITES)} or 'all'")
     results = []
+    options = []
     lines = []
     all_ok = True
     for name in names:
         fn = verify.SUITES[name]
-        res = fn(**_suite_kwargs(fn, args))
+        kwargs = _suite_kwargs(fn, args)
+        res = fn(**kwargs)
         all_ok = all_ok and res.ok
         status = "PASS" if res.ok else "FAIL"
         lines.append(
@@ -169,6 +171,7 @@ def _cmd_verify(args) -> int:
             f" {res.skipped} skipped, max residual {res.max_residual:.3e})"
         )
         results.append(res)
+        options.append(kwargs)
     summary = {
         "suites": len(results),
         "passed_cases": sum(r.passed for r in results),
@@ -188,8 +191,9 @@ def _cmd_verify(args) -> int:
                     "failed": r.failed,
                     "skipped": r.skipped,
                     "max_residual": r.max_residual,
+                    "options": used,
                     "rows": r.rows if args.rows else [],
-                } for r in results],
+                } for r, used in zip(results, options)],
                 summary,
             ),
             args.out,

@@ -6,13 +6,15 @@ Endpoint factors t^(a-1), (1-t)^(c-a-1) carry complex exponents, so
 plain real-weight Gauss-Jacobi with the phase left in the integrand
 would only converge algebraically.  Instead the full complex-exponent
 weight is absorbed: the Jacobi/Laguerre recurrence coefficients are
-rational in the exponents and continue analytically, and the rule is
-built from the complex-symmetric tridiagonal Jacobi matrix
-(Golub-Welsch).  Its eigenvalues alone give the nodes; one Newton step
-on the characteristic polynomial, evaluated by the orthonormal
-three-term recurrence, polishes them; the weights are
-mu0 / sum_j q_j(x)^2 over the orthonormal polynomials q_j at the
-polished nodes, which is Golub-Welsch's v_0^2 / (v . v) for the
+rational in the exponents and continue analytically, and the nodes are
+the eigenvalues of the complex-symmetric tridiagonal Jacobi matrix
+(Golub-Welsch), found in O(n^2) without forming it: the rule for the
+real parts of the exponents (eigvalsh of a real symmetric matrix)
+gives the starting nodes, and simultaneous Aberth-Ehrlich steps, with
+p_n / p_n' of the characteristic polynomial from the orthonormal
+three-term recurrence, move all of them to the complex roots at once.
+The weights are mu0 / sum_j q_j(x)^2 over the orthonormal polynomials
+q_j at the final nodes, which is Golub-Welsch's v_0^2 / (v . v) for the
 eigenvector v_j = q_j(x).  The rule is exact for polynomials of degree
 2n-1 against the complex weight.  The half line is split at t = 1:
 complex-exponent Jacobi on [0,1] captures the t^(v-1) endpoint,
@@ -38,6 +40,12 @@ from .numbers import BiComplex
 
 DEFAULT_NODES = 64
 TAIL_CUTOFF = 1e-16
+# Node iteration of jacobi_rule_01: stop once the largest correction is
+# below ABERTH_TOL, or below ABERTH_FLOOR_START and no longer halving;
+# give up after MAX_ABERTH_STEPS.
+ABERTH_TOL = 1e-10
+ABERTH_FLOOR_START = 1e-6
+MAX_ABERTH_STEPS = 60
 
 
 class CurveKind(enum.Enum):
@@ -57,6 +65,48 @@ class ProductCurve:
             raise ValueError("quadrature needs at least 16 nodes")
 
 
+def _jacobi_coefficients(n: int, alpha, beta):
+    """Diagonal and squared off-diagonal of the n x n Jacobi matrix for
+    the weight (1-x)^alpha (1+x)^beta on [-1, 1]; the exponents may be
+    real or complex."""
+    ab = alpha + beta
+    k = np.arange(1, n, dtype=np.float64)
+    diag = np.concatenate((
+        [(beta - alpha) / (ab + 2.0)],
+        (beta**2 - alpha**2) / ((2 * k + ab) * (2 * k + ab + 2.0)),
+    ))
+    k = k[1:]
+    off = np.concatenate((
+        [4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))],
+        4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+        / ((2 * k + ab) ** 2 * (2 * k + ab + 1.0) * (2 * k + ab - 1.0)),
+    ))[: n - 1]
+    return diag, off
+
+
+def _newton_ratio(x, diag, sb):
+    """p_n(x) / p_n'(x) for the characteristic polynomial p_n = det(x - T).
+
+    Runs the orthonormal recurrence sb[j] q_{j+1} = (x - diag[j]) q_j
+    - sb[j-1] q_{j-1}, which stays O(1) where the monic p_n underflows
+    at large n.  q and q' advance together as the rows of one
+    (2, len(x)) array.  The last step has no sb to divide by; a constant
+    factor cancels in the ratio anyway.
+    """
+    inv_sb = np.append(1.0 / sb, 1.0)
+    scaled = (x[None, :] - diag[:, None]) * inv_sb[:, None]
+    shift = np.concatenate(([0.0], sb)) * inv_sb
+    prev = np.zeros((2, len(x)), dtype=np.complex128)
+    cur = np.zeros_like(prev)
+    cur[0] = 1.0
+    for j in range(len(diag)):
+        nxt = scaled[j] * cur
+        nxt[1] += inv_sb[j] * cur[0]
+        nxt -= shift[j] * prev
+        prev, cur = cur, nxt
+    return cur[0] / cur[1]
+
+
 def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     """Nodes and weights for integral_0^1 t^B (1-t)^A g(t) dt.
 
@@ -68,45 +118,37 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     if alpha.real <= -1.0 or beta.real <= -1.0:
         raise PreconditionError("weight exponents must have real part > -1")
     ab = alpha + beta
-    k = np.arange(n, dtype=np.float64)
-    diag = np.empty(n, dtype=np.complex128)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    kk = k[1:]
-    diag[1:] = (beta**2 - alpha**2) / ((2 * kk + ab) * (2 * kk + ab + 2.0))
     mu0 = 2.0 ** (ab + 1.0) * _cgamma(alpha + 1.0) * _cgamma(beta + 1.0) / _cgamma(ab + 2.0)
-    off = np.empty(n - 1, dtype=np.complex128)
-    if n > 1:
-        off[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))
-    kk = k[2:]
-    off[1:] = (
-        4.0 * kk * (kk + alpha) * (kk + beta) * (kk + ab)
-        / ((2 * kk + ab) ** 2 * (2 * kk + ab + 1.0) * (2 * kk + ab - 1.0))
-    )
+    diag, off = _jacobi_coefficients(n, alpha, beta)
     sb = np.sqrt(off)
-    T = np.diag(diag) + np.diag(sb, 1) + np.diag(sb, -1)
-    x = np.sort_complex(np.linalg.eigvals(T))
-    # One Newton step on the characteristic polynomial p_n = det(x - T),
-    # run as the orthonormal recurrence sb[j] q_{j+1} = (x - diag[j]) q_j
-    # - sb[j-1] q_{j-1}, which stays O(1) where the monic p_n underflows
-    # at large n.  The last step has no sb to divide by; a constant
-    # factor cancels in p_n / p_n' anyway.
-    q_prev, q = np.zeros_like(x), np.ones_like(x)
-    dq_prev, dq = np.zeros_like(x), np.zeros_like(x)
-    for j in range(n):
-        step = x - diag[j]
-        q_next = step * q
-        dq_next = step * dq + q
-        if j > 0:
-            q_next -= sb[j - 1] * q_prev
-            dq_next -= sb[j - 1] * dq_prev
-        if j < n - 1:
-            q_next /= sb[j]
-            dq_next /= sb[j]
-        q_prev, q = q, q_next
-        dq_prev, dq = dq, dq_next
-    x = x - q / dq
+    # Start from the real rule at (Re A, Re B): eigvalsh reads only the
+    # lower triangle of its real symmetric Jacobi matrix.
+    real_diag, real_off = _jacobi_coefficients(n, alpha.real, beta.real)
+    real_jacobi = np.diag(real_diag) + np.diag(np.sqrt(real_off), -1)
+    x = np.linalg.eigvalsh(real_jacobi).astype(np.complex128)
+    # Aberth-Ehrlich steps on all nodes at once.  The repulsion sum keeps
+    # two nodes from settling on the same root.
+    last = math.inf
+    for _ in range(MAX_ABERTH_STEPS):
+        ratio = _newton_ratio(x, diag, sb)
+        gaps = x[:, None] - x[None, :]
+        np.fill_diagonal(gaps, math.inf)
+        corr = ratio / (1.0 - ratio * np.sum(1.0 / gaps, axis=1))
+        x = x - corr
+        size = float(np.max(np.abs(corr)))
+        # Near large imaginary exponents the corrections level off at a
+        # floor set by conditioning; stop there once they stop halving.
+        if size <= ABERTH_TOL or (size <= ABERTH_FLOOR_START and size > last / 2.0):
+            break
+        last = size
+    else:
+        raise NoConvergenceError(
+            f"Gauss rule nodes did not settle in {MAX_ABERTH_STEPS} Aberth steps"
+            f" (last correction {size:.3e})"
+        )
+    x = np.sort_complex(x)
     # Golub-Welsch weight mu0 v_0^2 / (v . v) with the eigenvector
-    # v_j = q_j(x), taken at the polished nodes.
+    # v_j = q_j(x), taken at the final nodes.
     q_prev, q = np.zeros_like(x), np.ones_like(x)
     norm = np.ones_like(x)
     for j in range(n - 1):

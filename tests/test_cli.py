@@ -120,6 +120,24 @@ class TestVerify:
         assert set(doc) == {"version", "command", "config", "results", "summary"}
         assert doc["summary"]["ok"] is True
 
+    def test_json_options_are_what_the_suite_received(self, capsys):
+        # thm2.2 takes no tolerance, so --tol must not show up as used
+        code, out, _ = run_cli(
+            capsys, "verify", "thm2.2", "--samples", "5", "--seed", "1",
+            "--tol", "1e-30", "--format", "json",
+        )
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert "tol" not in result["options"]
+        assert result["options"]["samples"] == 5
+        code, out, _ = run_cli(
+            capsys, "verify", "thm3.1", "--samples", "2", "--seed", "1",
+            "--nodes", "32", "--format", "json",
+        )
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert result["options"] == {"seed": 1, "samples": 2, "nodes": 32}
+
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "thm4.3", "--samples", "5", "--format", "csv",

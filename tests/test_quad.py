@@ -15,8 +15,16 @@ from bchyper import (
     from_idempotent,
     laplace_integral,
 )
+from bchyper import quad
+from bchyper.errors import NoConvergenceError
 from bchyper.gamma import complex_gamma
 from bchyper.quad import jacobi_rule_01
+
+
+def _beta_moment(B, A, k):
+    """integral_0^1 t^(B+k) (1-t)^A dt at 30 digits."""
+    with mpmath.workdps(30):
+        return complex(mpmath.beta(mpmath.mpc(B) + 1 + k, mpmath.mpc(A) + 1))
 
 
 class TestJacobiRule:
@@ -47,9 +55,42 @@ class TestJacobiRule:
         t, w = jacobi_rule_01(n, B, A)
         for k in (0, 1, 7, n, 2 * n - 1):
             got = complex(np.sum(w * t**k))
-            with mpmath.workdps(30):
-                want = complex(mpmath.beta(mpmath.mpc(B) + 1 + k, mpmath.mpc(A) + 1))
+            want = _beta_moment(B, A, k)
             assert abs(got - want) <= 5e-14 * abs(want), (k, abs(got - want) / abs(want))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_nodes_match_dense_eigenvalues(self, n):
+        # eigvals of the dense complex-symmetric Jacobi matrix is an
+        # independent O(n^3) oracle for the iterated nodes; exponents come
+        # from the boxes the thm3.1/3.5/3.8 samplers draw from
+        rng = np.random.default_rng(n)
+        for _ in range(6):
+            B = complex(rng.uniform(-0.7, 1.2), rng.uniform(-0.4, 0.4))
+            A = complex(rng.uniform(-0.7, 3.2), rng.uniform(-0.4, 0.4))
+            t, _ = jacobi_rule_01(n, B, A)
+            diag, off = quad._jacobi_coefficients(n, A, B)
+            sb = np.sqrt(off)
+            dense = np.diag(diag) + np.diag(sb, 1) + np.diag(sb, -1)
+            want = np.sort_complex((1.0 + np.linalg.eigvals(dense)) / 2.0)
+            assert np.max(np.abs(t - want)) <= 1e-13, (B, A)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_ABERTH_STEPS", 1)
+        with pytest.raises(NoConvergenceError):
+            jacobi_rule_01(32, 0.3 + 0.35j, 1.1 - 0.3j)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_large_imaginary_exponents(self, n):
+        # ill-conditioned weight: the node corrections level off at a
+        # floor near 1e-14 instead of falling below the stop tolerance
+        B, A = 0.5 + 3j, 0.2 - 3j
+        t, w = jacobi_rule_01(n, B, A)
+        want = _beta_moment(B, A, 0)
+        assert abs(complex(np.sum(w)) - want) <= 5e-11 * abs(want)
+
+    def test_very_large_imaginary_exponent_returns(self):
+        t, w = jacobi_rule_01(256, 0.5 + 10j, 0.2)
+        assert len(t) == 256 and np.all(np.isfinite(t)) and np.all(np.isfinite(w))
 
     def test_exponent_validation(self):
         with pytest.raises(PreconditionError):
