@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import sys
@@ -137,18 +136,14 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _suite_kwargs(fn, args):
-    accepted = inspect.signature(fn).parameters
-    kwargs = {}
-    if args.seed is not None and "seed" in accepted:
-        kwargs["seed"] = args.seed
-    if args.samples is not None and "samples" in accepted:
-        kwargs["samples"] = args.samples
-    if args.tol is not None and "tol" in accepted:
-        kwargs["tol"] = args.tol
-    if args.nodes is not None and "nodes" in accepted:
-        kwargs["nodes"] = args.nodes
-    return kwargs
+def _suite_kwargs(name, args):
+    """The given --seed/--samples/--tol/--nodes values that suite `name` accepts."""
+    accepted = verify.SUITES[name].defaults
+    return {
+        key: getattr(args, key)
+        for key in ("seed", "samples", "tol", "nodes")
+        if getattr(args, key) is not None and key in accepted
+    }
 
 
 def _cmd_verify(args) -> int:
@@ -161,9 +156,8 @@ def _cmd_verify(args) -> int:
     lines = []
     all_ok = True
     for name in names:
-        fn = verify.SUITES[name]
-        kwargs = _suite_kwargs(fn, args)
-        res = fn(**kwargs)
+        kwargs = _suite_kwargs(name, args)
+        res = verify.run_suite(name, **kwargs)
         all_ok = all_ok and res.ok
         status = "PASS" if res.ok else "FAIL"
         lines.append(

@@ -33,7 +33,7 @@ from .errors import (
 from .gamma import nearest_nonpositive_int
 from .hyper import PfqParams
 from .identities import IdentityReport
-from .numbers import BiComplex, Hyperbolic
+from .numbers import BiComplex, Hyperbolic, components
 
 REAL_TOL = 1e-12
 DEFAULT_TRUNCATION = 256
@@ -44,10 +44,10 @@ TAIL_LIMIT = 1e-12
 
 def _real_components(value: BiComplex, name: str):
     out = []
-    for label, comp in (("1", value.idem1), ("2", value.idem2)):
+    for s, comp in components(value):
         if abs(comp.imag) > REAL_TOL * max(1.0, abs(comp)):
             raise PositivityError(
-                f"{name} component {label} = {comp} is not real; the parameter"
+                f"{name} component {s} = {comp} is not real; the parameter"
                 " function cannot be a positive hyperbolic number"
             )
         out.append(comp.real)
@@ -67,19 +67,18 @@ class CoherentSpec:
         if self.truncation < 1:
             raise InvalidParamsError("truncation must be positive")
         for i, a in enumerate(self.params.alphas):
-            for label, comp in (("1", a.idem1), ("2", a.idem2)):
+            for s, comp in components(a):
                 if nearest_nonpositive_int(comp) is not None:
                     raise InvalidParamsError(
-                        f"alpha[{i}] component {label} = {comp} is zero or a negative integer"
+                        f"alpha[{i}] component {s} = {comp} is zero or a negative integer"
                     )
         ratios = [1.0, 1.0]
-        for s in (1, 2):
-            acc = 1.0
-            for a in self.params.alphas:
-                acc /= _real_components(a, "alpha")[s - 1]
-            for b in self.params.betas:
-                acc *= _real_components(b, "beta")[s - 1]
-            ratios[s - 1] = acc
+        for a in self.params.alphas:
+            for k, x in enumerate(_real_components(a, "alpha")):
+                ratios[k] /= x
+        for b in self.params.betas:
+            for k, x in enumerate(_real_components(b, "beta")):
+                ratios[k] *= x
         if ratios[0] <= 0.0 or ratios[1] <= 0.0:
             raise PositivityError(
                 f"parameter ratio prod(beta)/prod(alpha) = ({ratios[0]}, {ratios[1]})"
@@ -89,9 +88,7 @@ class CoherentSpec:
         hyper.check_domain(self.params, self._zeta())
 
     def _zeta(self) -> BiComplex:
-        return BiComplex.from_idempotent(
-            abs(self.z.idem1) ** 2, abs(self.z.idem2) ** 2
-        )
+        return BiComplex.from_idempotent(*(abs(c) ** 2 for _, c in components(self.z)))
 
 
 @dataclass(frozen=True)
@@ -154,16 +151,13 @@ def build_tables(spec: CoherentSpec) -> LadderTables:
     normalized tail coefficients satisfy |c_N|^2 < 1e-16.
     """
     norm1, norm2 = _norm_components(spec)
+    p = spec.params.p
+    split = components(spec.z, *spec.params.alphas, *spec.params.betas)
     nmax = spec.truncation
     while True:
-        a = [BiComplex.coerce(x) for x in spec.params.alphas]
-        b = [BiComplex.coerce(x) for x in spec.params.betas]
-        a1 = [x.idem1 for x in a]
-        a2 = [x.idem2 for x in a]
-        b1 = [x.idem1 for x in b]
-        b2 = [x.idem2 for x in b]
-        rho1, f1, raw1 = _component_tables(a1, b1, spec.z.idem1, nmax)
-        rho2, f2, raw2 = _component_tables(a2, b2, spec.z.idem2, nmax)
+        (rho1, f1, raw1), (rho2, f2, raw2) = (
+            _component_tables(comps[:p], comps[p:], zc, nmax) for _, zc, *comps in split
+        )
         last1 = abs(raw1[-1]) ** 2 / norm1
         last2 = abs(raw2[-1]) ** 2 / norm2
         if (last1 < COEFF_FLOOR and last2 < COEFF_FLOOR) or nmax >= HARD_TRUNCATION:
@@ -246,7 +240,7 @@ def annihilate(spec: CoherentSpec) -> IdentityReport:
     tables = build_tables(spec)
     c1, c2 = coefficient_arrays(spec)
     sides = []
-    for f, c, zc in ((tables.f1, c1, spec.z.idem1), (tables.f2, c2, spec.z.idem2)):
+    for (_, zc), f, c in zip(components(spec.z), (tables.f1, tables.f2), (c1, c2)):
         lowered = f * c[1:]
         target = zc * c[:-1]
         misfit = float(np.linalg.norm(lowered - target))

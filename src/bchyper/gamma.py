@@ -9,7 +9,7 @@ import scipy.special
 
 from . import kernels
 from .errors import PoleError
-from .numbers import BiComplex
+from .numbers import BiComplex, components
 
 POLE_TOL = 1e-12
 
@@ -51,9 +51,9 @@ def bc_gamma(z: BiComplex) -> BiComplex:
     """Componentwise gamma in the idempotent basis."""
     z = BiComplex.coerce(z)
     parts = []
-    for label, comp in (("1", z.idem1), ("2", z.idem2)):
+    for s, comp in components(z):
         if nearest_nonpositive_int(comp) is not None:
-            raise PoleError(f"gamma pole in idempotent component {label} at {comp}")
+            raise PoleError(f"gamma pole in idempotent component {s} at {comp}")
         parts.append(complex(scipy.special.gamma(comp)))
     return BiComplex.from_idempotent(parts[0], parts[1])
 
@@ -63,9 +63,7 @@ def bc_pochhammer(a: BiComplex, n: int) -> BiComplex:
     if n < 0:
         raise ValueError("pochhammer order must be nonnegative")
     a = BiComplex.coerce(a)
-    return BiComplex.from_idempotent(
-        kernels.pochhammer(a.idem1, n), kernels.pochhammer(a.idem2, n)
-    )
+    return BiComplex.from_idempotent(*(kernels.pochhammer(c, n) for _, c in components(a)))
 
 
 def complex_pochhammer(a, n: int) -> complex:
@@ -110,9 +108,9 @@ def gamma_product_oracle(z: BiComplex, terms: int = 10**6) -> BiComplex:
     z = BiComplex.coerce(z)
     n = np.arange(1, terms + 1, dtype=np.float64)
     parts = []
-    for label, comp in (("1", z.idem1), ("2", z.idem2)):
+    for s, comp in components(z):
         if nearest_nonpositive_int(comp) is not None:
-            raise PoleError(f"gamma pole in idempotent component {label} at {comp}")
+            raise PoleError(f"gamma pole in idempotent component {s} at {comp}")
         ratios = comp / n
         log_factors = ratios - np.log1p(ratios.astype(np.complex128))
         total = complex(np.sum(log_factors))

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, InvalidParamsError, NoConvergenceError
 from .gamma import nearest_nonpositive_int
-from .numbers import BiComplex, Hyperbolic
+from .numbers import BiComplex, Hyperbolic, components
 
 DEFAULT_TOL = 1e-15
 DEFAULT_CAP = 10_000
@@ -68,13 +68,21 @@ class PfqParams:
         alphas = tuple(BiComplex.coerce(a) for a in alphas)
         betas = tuple(BiComplex.coerce(b) for b in betas)
         for j, b in enumerate(betas):
-            for label, comp in (("1", b.idem1), ("2", b.idem2)):
+            for s, comp in components(b):
                 if nearest_nonpositive_int(comp) is not None:
                     raise InvalidParamsError(
-                        f"beta[{j}] component {label} = {comp} is a nonpositive integer"
+                        f"beta[{j}] component {s} = {comp} is a nonpositive integer"
                     )
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
+        # The component vectors, built once as one read-only (2, p+q)
+        # array.  They are not fields, so equality and hashing see only
+        # the parameter values.
+        (_, *one), (_, *two) = components(*alphas, *betas)
+        rows = np.array(one + two, dtype=np.complex128).reshape(2, len(one))
+        rows.setflags(write=False)
+        object.__setattr__(self, "_alpha_rows", rows[:, : len(alphas)])
+        object.__setattr__(self, "_beta_rows", rows[:, len(alphas) :])
 
     @property
     def p(self) -> int:
@@ -85,18 +93,31 @@ class PfqParams:
         return len(self.betas)
 
     def comp_alphas(self, s: int) -> np.ndarray:
-        attr = "idem1" if s == 1 else "idem2"
-        return np.array([getattr(a, attr) for a in self.alphas], dtype=np.complex128)
+        """Component s (1 or 2) of the alphas, a read-only complex array."""
+        return self._alpha_rows[s - 1]
 
     def comp_betas(self, s: int) -> np.ndarray:
-        attr = "idem1" if s == 1 else "idem2"
-        return np.array([getattr(b, attr) for b in self.betas], dtype=np.complex128)
+        """Component s (1 or 2) of the betas, a read-only complex array."""
+        return self._beta_rows[s - 1]
 
     def shifted(self, dalpha=0, dbeta=0) -> "PfqParams":
         """All alphas shifted by dalpha and all betas by dbeta."""
         return PfqParams(
             [a + dalpha for a in self.alphas], [b + dbeta for b in self.betas]
         )
+
+
+def per_component(worker, params: PfqParams, *values) -> list:
+    """[worker(alphas_s, betas_s, *values_s) for s = 1, 2].
+
+    The one place a relation is run on both idempotent components: the
+    parameter vectors come as lists (of numpy complex scalars) and
+    `values` are split by ``components``.
+    """
+    return [
+        worker(list(params.comp_alphas(s)), list(params.comp_betas(s)), *vals)
+        for s, *vals in components(*values)
+    ]
 
 
 @dataclass(frozen=True)
@@ -119,10 +140,10 @@ def classify(params: PfqParams) -> ConvergenceClass:
         return ConvergenceClass(ConvergenceKind.ENTIRE)
     if p > q + 1:
         return ConvergenceClass(ConvergenceKind.DIVERGENT)
-    diff1 = sum(b.idem1 for b in params.betas) - sum(a.idem1 for a in params.alphas)
-    diff2 = sum(b.idem2 for b in params.betas) - sum(a.idem2 for a in params.alphas)
-    eta1 = complex(diff1).real
-    eta2 = complex(diff2).real
+    eta1, eta2 = (
+        complex(sum(b.tolist()) - sum(a.tolist())).real
+        for a, b in zip(params._alpha_rows, params._beta_rows)
+    )
     cart1 = sum(b.re1 for b in params.betas) - sum(a.re1 for a in params.alphas)
     cart2 = sum(b.re2 for b in params.betas) - sum(a.re2 for a in params.alphas)
     margin = complex(cart1).real - abs(complex(cart2).imag)
@@ -214,7 +235,7 @@ def pfq(
     values = []
     terms = []
     tails = []
-    for s, zc in ((1, z.idem1), (2, z.idem2)):
+    for s, zc in components(z):
         a = params.comp_alphas(s)
         b = params.comp_betas(s)
         if termination_index(a) is None:
@@ -242,7 +263,7 @@ def check_domain(params: PfqParams, z: BiComplex):
     """
     z = BiComplex.coerce(z)
     cls = classify(params)
-    for s, zc in ((1, z.idem1), (2, z.idem2)):
+    for s, zc in components(z):
         if termination_index(params.comp_alphas(s)) is None:
             _check_component_domain(cls.kind, abs(zc), cls.margin, str(s))
 
@@ -263,9 +284,10 @@ def pfq_components(
     z = BiComplex.coerce(z)
     if gate:
         check_domain(params, z)
-    v1, _, _ = component_series(params.comp_alphas(1), params.comp_betas(1), z.idem1, tol, cap)
-    v2, _, _ = component_series(params.comp_alphas(2), params.comp_betas(2), z.idem2, tol, cap)
-    return v1, v2
+    return tuple(
+        component_series(params.comp_alphas(s), params.comp_betas(s), zc, tol, cap)[0]
+        for s, zc in components(z)
+    )
 
 
 def hyp1f1(a, b, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> BiComplex:
@@ -330,12 +352,10 @@ def boundary_probe(params: PfqParams, z: BiComplex, cap: int = 20_000, window: i
     Returns ((delta1, maxterm1, finite1), (delta2, maxterm2, finite2)).
     """
     z = BiComplex.coerce(z)
-    out = []
-    for s, zc in ((1, z.idem1), (2, z.idem2)):
-        out.append(
-            kernels.window_probe(params.comp_alphas(s), params.comp_betas(s), zc, cap, window)
-        )
-    return tuple(out)
+    return tuple(
+        kernels.window_probe(params.comp_alphas(s), params.comp_betas(s), zc, cap, window)
+        for s, zc in components(z)
+    )
 
 
 def ratio_radius_estimate(comp_alphas, comp_betas, n: int) -> float:

@@ -22,10 +22,10 @@ import numpy as np
 from . import hyper
 from .errors import InvalidParamsError, NullConeError, PoleError
 from .gamma import complex_pochhammer
-from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams
+from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams, per_component
 from . import kernels
 from .kernels import coeff_table
-from .numbers import NULL_TOL, BiComplex, Hyperbolic
+from .numbers import NULL_TOL, BiComplex, Hyperbolic, components
 
 DEFAULT_IDENTITY_TOL = 1e-9
 
@@ -57,12 +57,22 @@ class ShiftM:
     def to_bicomplex(self) -> BiComplex:
         return BiComplex.from_idempotent(self.m, self.n)
 
+    @property
+    def idem1(self) -> int:
+        return self.m
+
+    @property
+    def idem2(self) -> int:
+        return self.n
+
 
 def relative_residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def make_report(lhs1, rhs1, lhs2, rhs2, tol) -> IdentityReport:
+def make_report(sides, tol) -> IdentityReport:
+    """Glue the per-component (lhs, rhs) pairs of a relation into a report."""
+    (lhs1, rhs1), (lhs2, rhs2) = sides
     r1 = relative_residual(lhs1, rhs1)
     r2 = relative_residual(lhs2, rhs2)
     return IdentityReport(
@@ -86,72 +96,41 @@ def _F(alphas, betas, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> complex:
     return value
 
 
-def _components(params: PfqParams):
-    return (
-        (list(params.comp_alphas(1)), list(params.comp_betas(1))),
-        (list(params.comp_alphas(2)), list(params.comp_betas(2))),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quadratic transforms.
 # ---------------------------------------------------------------------------
 
 
-def _even_shape(params: PfqParams) -> PfqParams:
+def _halved_shape(params: PfqParams, offset: int) -> PfqParams:
+    """Parameters of the quadratic-transform series: (alpha + offset)/2,
+    (alpha + offset + 1)/2 over (2*offset + 1)/2, (beta + offset)/2,
+    (beta + offset + 1)/2; offset 0 is the even transform, 1 the odd."""
     half = BiComplex(0.5)
-    alphas = [a * half for a in params.alphas] + [(a + 1) * half for a in params.alphas]
-    betas = (
-        [half]
-        + [b * half for b in params.betas]
-        + [(b + 1) * half for b in params.betas]
+    return PfqParams(
+        [(a + k) * half for k in (offset, offset + 1) for a in params.alphas],
+        [BiComplex(offset + 0.5)]
+        + [(b + k) * half for k in (offset, offset + 1) for b in params.betas],
     )
-    return PfqParams(alphas, betas)
 
 
-def _odd_shape(params: PfqParams) -> PfqParams:
-    half = BiComplex(0.5)
-    alphas = [(a + 1) * half for a in params.alphas] + [
-        (a + 2) * half for a in params.alphas
-    ]
-    betas = (
-        [BiComplex(1.5)]
-        + [(b + 1) * half for b in params.betas]
-        + [(b + 2) * half for b in params.betas]
-    )
-    return PfqParams(alphas, betas)
+def _quadratic_comp(a, b, z, scale, offset, pre, tol, cap):
+    """(lhs, rhs) of a component quadratic transform: pre times the
+    halved-shape series at z^2 / scale against F(z) + F(-z) (offset 0)
+    or F(z) - F(-z) (offset 1)."""
+    ha = [(x + k) / 2 for k in (offset, offset + 1) for x in a]
+    hb = [offset + 0.5 + 0j] + [(x + k) / 2 for k in (offset, offset + 1) for x in b]
+    lhs = pre * _F(ha, hb, z * z / scale, tol, cap)
+    plus, minus = _F(a, b, z, tol, cap), _F(a, b, -z, tol, cap)
+    return lhs, (plus - minus if offset else plus + minus)
 
 
 def quad_even_comp(a, b, z, scale, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     """Component worker: (lhs, rhs) of the even quadratic transform."""
-    ea = [x / 2 for x in a] + [(x + 1) / 2 for x in a]
-    eb = [0.5 + 0j] + [x / 2 for x in b] + [(x + 1) / 2 for x in b]
-    lhs = 2.0 * _F(ea, eb, z * z / scale, tol, cap)
-    rhs = _F(a, b, z, tol, cap) + _F(a, b, -z, tol, cap)
-    return lhs, rhs
-
-
-def quad_even(
-    params: PfqParams, z: BiComplex, tol: float = DEFAULT_IDENTITY_TOL
-) -> IdentityReport:
-    """Even quadratic transform: doubled-shape series at Z^2 / 4^(q+1-p)
-    against the sum of the base series at Z and -Z."""
-    z = BiComplex.coerce(z)
-    derived = _even_shape(params)  # raises InvalidParamsError on bad halved betas
-    scale = 4.0 ** (params.q + 1 - params.p)
-    hyper.check_domain(params, z)
-    hyper.check_domain(derived, BiComplex.from_idempotent(
-        z.idem1 * z.idem1 / scale, z.idem2 * z.idem2 / scale))
-    (a1, b1), (a2, b2) = _components(params)
-    l1, r1 = quad_even_comp(a1, b1, z.idem1, scale)
-    l2, r2 = quad_even_comp(a2, b2, z.idem2, scale)
-    return make_report(l1, r1, l2, r2, tol)
+    return _quadratic_comp(a, b, z, scale, 0, 2.0, tol, cap)
 
 
 def quad_odd_comp(a, b, z, scale, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     """Component worker: (lhs, rhs) of the odd quadratic transform."""
-    oa = [(x + 1) / 2 for x in a] + [(x + 2) / 2 for x in a]
-    ob = [1.5 + 0j] + [(x + 1) / 2 for x in b] + [(x + 2) / 2 for x in b]
     num = 1.0 + 0j
     for x in a:
         num *= x
@@ -160,26 +139,32 @@ def quad_odd_comp(a, b, z, scale, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
         den *= x
     if abs(den) < NULL_TOL * max(1.0, abs(num)):
         raise NullConeError("odd-transform prefactor divides by a null denominator")
-    pre = 2.0 * z * num / den
-    lhs = pre * _F(oa, ob, z * z / scale, tol, cap)
-    rhs = _F(a, b, z, tol, cap) - _F(a, b, -z, tol, cap)
-    return lhs, rhs
+    return _quadratic_comp(a, b, z, scale, 1, 2.0 * z * num / den, tol, cap)
+
+
+def _quadratic(params, z, tol, offset, worker) -> IdentityReport:
+    z = BiComplex.coerce(z)
+    derived = _halved_shape(params, offset)  # InvalidParamsError on bad halved betas
+    scale = 4.0 ** (params.q + 1 - params.p)
+    hyper.check_domain(params, z)
+    squared = BiComplex.from_idempotent(*(zc * zc / scale for _, zc in components(z)))
+    hyper.check_domain(derived, squared)
+    return make_report(per_component(worker, params, z, scale), tol)
+
+
+def quad_even(
+    params: PfqParams, z: BiComplex, tol: float = DEFAULT_IDENTITY_TOL
+) -> IdentityReport:
+    """Even quadratic transform: doubled-shape series at Z^2 / 4^(q+1-p)
+    against the sum of the base series at Z and -Z."""
+    return _quadratic(params, z, tol, 0, quad_even_comp)
 
 
 def quad_odd(
     params: PfqParams, z: BiComplex, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """Odd quadratic transform with the 2*Z*prod(alphas)/prod(betas) prefactor."""
-    z = BiComplex.coerce(z)
-    derived = _odd_shape(params)
-    scale = 4.0 ** (params.q + 1 - params.p)
-    hyper.check_domain(params, z)
-    hyper.check_domain(derived, BiComplex.from_idempotent(
-        z.idem1 * z.idem1 / scale, z.idem2 * z.idem2 / scale))
-    (a1, b1), (a2, b2) = _components(params)
-    l1, r1 = quad_odd_comp(a1, b1, z.idem1, scale)
-    l2, r2 = quad_odd_comp(a2, b2, z.idem2, scale)
-    return make_report(l1, r1, l2, r2, tol)
+    return _quadratic(params, z, tol, 1, quad_odd_comp)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +198,11 @@ def saalschutz(
     a2 = BiComplex.coerce(a2)
     b = BiComplex.coerce(b)
     # The second denominator parameter must not truncate the n+1 exact terms.
-    for comp in (b.idem1, b.idem2):
-        kk = _nonpos_int_leq(comp, n - 1)
-        if kk is not None:
-            raise NullConeError(f"denominator parameter {comp} hits zero inside the sum")
-    for comp in ((1 - b + a1 + a2 - n).idem1, (1 - b + a1 + a2 - n).idem2):
-        kk = _nonpos_int_leq(comp, n - 1)
-        if kk is not None:
-            raise NullConeError(f"denominator parameter {comp} hits zero inside the sum")
-    l1, r1 = saalschutz_comp(n, a1.idem1, a2.idem1, b.idem1)
-    l2, r2 = saalschutz_comp(n, a1.idem2, a2.idem2, b.idem2)
-    return make_report(l1, r1, l2, r2, tol)
+    for w in (b, 1 - b + a1 + a2 - n):
+        for _, comp in components(w):
+            if _nonpos_int_leq(comp, n - 1) is not None:
+                raise NullConeError(f"denominator parameter {comp} hits zero inside the sum")
+    return make_report([saalschutz_comp(*vals) for _, *vals in components(n, a1, a2, b)], tol)
 
 
 def _nonpos_int_leq(w: complex, bound: int):
@@ -297,10 +276,7 @@ def derivative_relation(
     shifted = params.shifted(dalpha=k, dbeta=k)  # InvalidParamsError on bad betas
     hyper.check_domain(params, z)
     hyper.check_domain(shifted, z)
-    (a1, b1), (a2, b2) = _components(params)
-    l1, r1 = derivative_comp(a1, b1, z.idem1, k)
-    l2, r2 = derivative_comp(a2, b2, z.idem2, k)
-    return make_report(l1, r1, l2, r2, tol)
+    return make_report(per_component(derivative_comp, params, z, k), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +343,7 @@ def cauchy_riemann_check(
     df2_dv = (f2_pv - f2_mv) / (2.0 * h)
     lhs = BiComplex(df1_du, df1_dv)
     rhs = BiComplex(df2_dv, -df2_du)
-    return make_report(lhs.idem1, rhs.idem1, lhs.idem2, rhs.idem2, tol)
+    return make_report([sides for _, *sides in components(lhs, rhs)], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -471,84 +447,54 @@ def contiguous_beta_plus_comp(a, b, z, m, n, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     return lhs, rhs
 
 
-def _contiguous(params, z, shift, worker, lhs_params_builder, tol):
-    """Shared wrapper: validate shifted parameter sets, gate, glue components."""
+_KIND = {"alphas": "numerator", "betas": "denominator"}
+
+
+def _contiguous(params, z, shift, tol, worker, which, sign):
+    """Shared body: the first parameter of `which` ("alphas" or "betas")
+    moves by sign*M and sign*conj(M); gate both moved sets and glue."""
+    first = getattr(params, which)
+    if not first:
+        raise InvalidParamsError(f"relation needs at least one {_KIND[which]} parameter")
     z = BiComplex.coerce(z)
-    for shifted in lhs_params_builder(params, shift):
+    vectors = {"alphas": params.alphas, "betas": params.betas}
+    moved = []
+    for m in (shift, shift.conj):
+        delta = m.to_bicomplex() if sign > 0 else -m.to_bicomplex()
+        moved.append(PfqParams(**{**vectors, which: [first[0] + delta, *first[1:]]}))
+    for shifted in moved:
         hyper.check_domain(shifted, z)
     hyper.check_domain(params, z)
-    (a1, b1), (a2, b2) = _components(params)
-    l1, r1 = worker(a1, b1, z.idem1, shift.m, shift.n)
-    l2, r2 = worker(a2, b2, z.idem2, shift.n, shift.m)
-    return make_report(l1, r1, l2, r2, tol)
-
-
-def _alpha_shift_params(params, shift, sign):
-    delta = shift.to_bicomplex() if sign > 0 else -shift.to_bicomplex()
-    deltac = shift.conj.to_bicomplex() if sign > 0 else -shift.conj.to_bicomplex()
-    out = []
-    for d in (delta, deltac):
-        alphas = [params.alphas[0] + d] + list(params.alphas[1:])
-        out.append(PfqParams(alphas, params.betas))
-    return out
-
-
-def _beta_shift_params(params, shift, sign):
-    delta = shift.to_bicomplex() if sign > 0 else -shift.to_bicomplex()
-    deltac = shift.conj.to_bicomplex() if sign > 0 else -shift.conj.to_bicomplex()
-    out = []
-    for d in (delta, deltac):
-        betas = [params.betas[0] + d] + list(params.betas[1:])
-        out.append(PfqParams(betas=betas, alphas=params.alphas))
-    return out
+    # component 1 pairs the shift (m, n), component 2 the conjugate (n, m)
+    return make_report(per_component(worker, params, z, shift, shift.conj), tol)
 
 
 def contiguous_alpha_plus(
     params: PfqParams, z, shift: ShiftM, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """F(alpha1 + M) + F(alpha1 + conj(M)) against the double binomial sum."""
-    if params.p < 1:
-        raise InvalidParamsError("relation needs at least one numerator parameter")
-    return _contiguous(
-        params, z, shift, contiguous_alpha_plus_comp,
-        lambda p, sh: _alpha_shift_params(p, sh, +1), tol,
-    )
+    return _contiguous(params, z, shift, tol, contiguous_alpha_plus_comp, "alphas", +1)
 
 
 def contiguous_alpha_minus(
     params: PfqParams, z, shift: ShiftM, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """F(alpha1 - M) + F(alpha1 - conj(M)); alpha1 stays unshifted on the right."""
-    if params.p < 1:
-        raise InvalidParamsError("relation needs at least one numerator parameter")
-    return _contiguous(
-        params, z, shift, contiguous_alpha_minus_comp,
-        lambda p, sh: _alpha_shift_params(p, sh, -1), tol,
-    )
+    return _contiguous(params, z, shift, tol, contiguous_alpha_minus_comp, "alphas", -1)
 
 
 def contiguous_beta_minus(
     params: PfqParams, z, shift: ShiftM, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """F(beta1 - M) + F(beta1 - conj(M)) against the double binomial sum."""
-    if params.q < 1:
-        raise InvalidParamsError("relation needs at least one denominator parameter")
-    return _contiguous(
-        params, z, shift, contiguous_beta_minus_comp,
-        lambda p, sh: _beta_shift_params(p, sh, -1), tol,
-    )
+    return _contiguous(params, z, shift, tol, contiguous_beta_minus_comp, "betas", -1)
 
 
 def contiguous_beta_plus(
     params: PfqParams, z, shift: ShiftM, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """F(beta1 + M) + F(beta1 + conj(M)) = 2F - Z * (two ratio-weighted sums)."""
-    if params.q < 1:
-        raise InvalidParamsError("relation needs at least one denominator parameter")
-    return _contiguous(
-        params, z, shift, contiguous_beta_plus_comp,
-        lambda p, sh: _beta_shift_params(p, sh, +1), tol,
-    )
+    return _contiguous(params, z, shift, tol, contiguous_beta_plus_comp, "betas", +1)
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +543,7 @@ def ode_residual_with_bound(params: PfqParams, z: BiComplex, count: int):
         raise ValueError("truncation degree too small to be meaningful")
     z = BiComplex.coerce(z)
     hyper.check_domain(params, z)
-    (a1, b1), (a2, b2) = _components(params)
-    r1, m1 = _ode_component(a1, b1, z.idem1, count)
-    r2, m2 = _ode_component(a2, b2, z.idem2, count)
+    (r1, m1), (r2, m2) = per_component(_ode_component, params, z, count)
     return Hyperbolic.from_idempotent(r1, r2), Hyperbolic.from_idempotent(m1, m2)
 
 
@@ -612,23 +556,26 @@ def coefficient_recurrence_ulps(params: PfqParams, count: int) -> float:
     grow factorially for p > q+1 and decay factorially for p <= q) are
     skipped; the law is asserted on the representable prefix.
     """
+    return max(per_component(_recurrence_ulps, params, count))
+
+
+def _recurrence_ulps(a, b, count):
+    a = np.array(a, dtype=np.complex128)
+    b = np.array(b, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = coeff_table(a, b, count)
     worst = 0.0
-    for s in (1, 2):
-        a = params.comp_alphas(s)
-        b = params.comp_betas(s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = coeff_table(a, b, count)
-        for m in range(count):
-            mag = max(abs(c[m]), abs(c[m + 1]))
-            if not (1e-280 < mag < 1e280):
-                continue
-            # the law solved for c_{m+1}; the product association
-            # c_{m+1}*(m+1)*prod(b+m) == c_m*prod(a+m) costs extra
-            # rounding steps and is not assertable at the 2-ulp level
-            lhs = c[m + 1]
-            rhs = c[m] * kernels.term_ratio(a, b, float(m))
-            scale = max(abs(lhs), abs(rhs))
-            if scale == 0.0 or not math.isfinite(scale):
-                continue
-            worst = max(worst, abs(lhs - rhs) / np.spacing(scale))
+    for m in range(count):
+        mag = max(abs(c[m]), abs(c[m + 1]))
+        if not (1e-280 < mag < 1e280):
+            continue
+        # the law solved for c_{m+1}; the product association
+        # c_{m+1}*(m+1)*prod(b+m) == c_m*prod(a+m) costs extra
+        # rounding steps and is not assertable at the 2-ulp level
+        lhs = c[m + 1]
+        rhs = c[m] * kernels.term_ratio(a, b, float(m))
+        scale = max(abs(lhs), abs(rhs))
+        if scale == 0.0 or not math.isfinite(scale):
+            continue
+        worst = max(worst, abs(lhs - rhs) / np.spacing(scale))
     return worst

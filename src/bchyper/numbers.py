@@ -252,6 +252,21 @@ def idempotent_split(a: BiComplex):
     return a.idem1, a.idem2
 
 
+def components(*values):
+    """The idempotent split of `values`: (1, v.idem1, ...) and (2, v.idem2, ...).
+
+    Each bicomplex relation is one classical relation per tuple; the
+    leading 1 or 2 labels the component (error messages,
+    ``PfqParams.comp_alphas``).  A plain number is its own component
+    on both sides and passes through unchanged.
+    """
+    one, two = [1], [2]
+    for v in values:
+        one.append(getattr(v, "idem1", v))
+        two.append(getattr(v, "idem2", v))
+    return tuple(one), tuple(two)
+
+
 def from_idempotent(z1, z2) -> BiComplex:
     return BiComplex.from_idempotent(z1, z2)
 
@@ -379,7 +394,7 @@ def bc_pow(a: BiComplex, w) -> BiComplex:
     if in_null_cone(a):
         raise NullConeError("non-integer power of a null-cone element")
     out = []
-    for base, expo in ((a.idem1, w.idem1), (a.idem2, w.idem2)):
+    for _, base, expo in components(a, w):
         if base.imag == 0.0 and base.real < 0.0:
             raise BranchCutError(f"component {base} lies on the negative real cut")
         out.append(cmath.exp(expo * cmath.log(base)))

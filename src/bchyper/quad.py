@@ -24,6 +24,7 @@ ordinary Gauss-Laguerre handles the smooth tail.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .errors import DomainError, NoConvergenceError, PreconditionError
 from .gamma import complex_pochhammer
 from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams
 from .identities import IdentityReport, make_report
-from .numbers import BiComplex
+from .numbers import BiComplex, components
 
 DEFAULT_NODES = 64
 TAIL_CUTOFF = 1e-16
@@ -163,21 +164,30 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     return t, weights
 
 
+@functools.lru_cache(maxsize=16)
+def _laguerre_rule(n: int):
+    """Gauss-Laguerre nodes and weights, built once per n and read-only."""
+    t, w = scipy.special.roots_laguerre(n)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def _positive_components(value: BiComplex, name: str):
     value = BiComplex.coerce(value)
-    for label, comp in (("1", value.idem1), ("2", value.idem2)):
+    for s, comp in components(value):
         if comp.real <= 0.0:
             raise PreconditionError(
                 f"{name} must have positive real part in both idempotent"
-                f" components, got {comp} in component {label}"
+                f" components, got {comp} in component {s}"
             )
 
 
 def _require_ball(z: BiComplex):
     z = BiComplex.coerce(z)
-    for label, comp in (("1", z.idem1), ("2", z.idem2)):
+    for s, comp in components(z):
         if abs(comp) >= 1.0:
-            raise DomainError(f"argument component {label} has modulus {abs(comp)} >= 1")
+            raise DomainError(f"argument component {s} has modulus {abs(comp)} >= 1")
 
 
 def _inner_values(comp_alphas, comp_betas, args):
@@ -222,7 +232,7 @@ def euler_integral(
     z = BiComplex.coerce(z)
     _require_ball(z)
     sides = []
-    for s, zc in ((1, z.idem1), (2, z.idem2)):
+    for s, zc in components(z):
         alphas = params.comp_alphas(s)
         betas = params.comp_betas(s)
         t, w = jacobi_rule_01(curve.nodes, alphas[0] - 1.0, betas[0] - alphas[0] - 1.0)
@@ -232,7 +242,7 @@ def euler_integral(
         lhs = complex(pre * integral)
         rhs, _, _ = hyper.component_series(alphas, betas, zc)
         sides.append((lhs, rhs))
-    return make_report(sides[0][0], sides[0][1], sides[1][0], sides[1][1], tol)
+    return make_report(sides, tol)
 
 
 def laplace_integral(
@@ -259,12 +269,11 @@ def laplace_integral(
     z = BiComplex.coerce(z)
     _require_ball(z)
     n = curve.nodes
-    lag_t, lag_w = scipy.special.roots_laguerre(n)
+    lag_t, lag_w = _laguerre_rule(n)
     sides = []
-    for s, zc in ((1, z.idem1), (2, z.idem2)):
+    for s, zc, vc in components(z, v):
         alphas = params.comp_alphas(s)
         betas = params.comp_betas(s)
-        vc = v.idem1 if s == 1 else v.idem2
         # [0, 1]: the complex-exponent endpoint is part of the weight.
         t1, w1 = jacobi_rule_01(n, vc - 1.0, 0.0)
         inner1 = _inner_values(alphas, betas, zc * t1)
@@ -287,7 +296,7 @@ def laplace_integral(
             np.concatenate(([vc], alphas)), betas, zc
         )
         sides.append((lhs, rhs))
-    return make_report(sides[0][0], sides[0][1], sides[1][0], sides[1][1], tol)
+    return make_report(sides, tol)
 
 
 def double_integral(
@@ -315,11 +324,9 @@ def double_integral(
     _require_ball(z)
     nn = curve.nodes
     sides = []
-    for s, zc in ((1, z.idem1), (2, z.idem2)):
+    for s, zc, mc, nc in components(z, m, n):
         alphas = params.comp_alphas(s)
         betas = params.comp_betas(s)
-        mc = m.idem1 if s == 1 else m.idem2
-        nc = n.idem1 if s == 1 else n.idem2
         tu, wu = jacobi_rule_01(nn, mc - 1.0, nc)  # weight u^(m-1) (1-u)^n
         tv, wv = jacobi_rule_01(nn, nc - 1.0, 0.0)  # weight v^(n-1)
         args = ((1.0 - tu)[:, None] * (1.0 - tv)[None, :]) * zc
@@ -334,7 +341,7 @@ def double_integral(
         )
         rhs = complex(pre * rhs_series)
         sides.append((lhs, rhs))
-    return make_report(sides[0][0], sides[0][1], sides[1][0], sides[1][1], tol)
+    return make_report(sides, tol)
 
 
 def beta_product_check(m, n, k: int, nodes: int = DEFAULT_NODES, tol: float = 1e-10) -> IdentityReport:
@@ -347,9 +354,7 @@ def beta_product_check(m, n, k: int, nodes: int = DEFAULT_NODES, tol: float = 1e
     _positive_components(m, "m")
     _positive_components(n, "n")
     sides = []
-    for s in (1, 2):
-        mc = m.idem1 if s == 1 else m.idem2
-        nc = n.idem1 if s == 1 else n.idem2
+    for _, mc, nc in components(m, n):
         tu, wu = jacobi_rule_01(nodes, mc - 1.0, nc + k)
         tv, wv = jacobi_rule_01(nodes, nc - 1.0, float(k))
         lhs = complex(np.sum(wu) * np.sum(wv))
@@ -358,4 +363,4 @@ def beta_product_check(m, n, k: int, nodes: int = DEFAULT_NODES, tol: float = 1e
             / (_cgamma(mc + nc + 1.0) * complex_pochhammer(mc + nc + 1.0, k))
         )
         sides.append((lhs, rhs))
-    return make_report(sides[0][0], sides[0][1], sides[1][0], sides[1][1], tol)
+    return make_report(sides, tol)

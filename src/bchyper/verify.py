@@ -1,9 +1,14 @@
 """Seeded verification suites behind `bchyper verify` and the acceptance tests.
 
-Each suite draws admissible random cases (rejection sampling, at most
-100 attempts per draw, skip-and-log otherwise), runs one relation, and
-collects per-case rows {theorem, case, params, z, residual1,
-residual2, passed} that the CLI can emit as JSON or CSV.
+Each suite is a declaration in SUITES: the theorem label of its rows,
+its phases, and the options it accepts with their defaults.
+``run_suite`` is the one loop: it seeds one generator, runs the cases
+of every phase in order and counts skips.  A case body draws an
+admissible random case from that generator (rejection sampling, at
+most 100 attempts per draw), runs one relation, and returns a row
+{theorem, case, params, z, residual1, residual2, passed}, a list of
+rows, or None when the draw was skipped.  The CLI emits the rows as
+JSON or CSV.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from . import coherent, hyper, identities, kernels, quad
 from .errors import BCHyperError, PositivityError
 from .hyper import ConvergenceKind, PfqParams
 from .identities import ShiftM
-from .numbers import BiComplex, bc_pow, format_bicomplex
+from .numbers import BiComplex, bc_pow, components, format_bicomplex
 
 MAX_ATTEMPTS = 100
 
@@ -32,11 +37,21 @@ class SuiteResult:
     skipped: int
     max_residual: float
     rows: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return self.failed == 0 and self.passed > 0
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A verify suite.  Each phase is a pair (cases, body): cases(options)
+    is its number of cases and body(rng, options, case) runs one.
+    `defaults` holds every option the suite accepts."""
+
+    theorem: str
+    phases: tuple
+    defaults: dict
 
 
 def _params_str(params: PfqParams) -> str:
@@ -45,9 +60,8 @@ def _params_str(params: PfqParams) -> str:
     return f"[{a}];[{b}]"
 
 
-def _row(theorem, case, params, z, r1, r2, passed, **extra):
+def _row(case, params, z, r1, r2, passed, **extra):
     row = {
-        "theorem": theorem,
         "case": case,
         "params": _params_str(params) if isinstance(params, PfqParams) else str(params),
         "z": format_bicomplex(z) if isinstance(z, BiComplex) else str(z),
@@ -59,22 +73,23 @@ def _row(theorem, case, params, z, r1, r2, passed, **extra):
     return row
 
 
-def _finish(theorem, samples, rows, skipped, details=None, seed=None) -> SuiteResult:
+def _report_row(case, params, z, rep, **extra):
+    return _row(case, params, z, rep.residual.comp1, rep.residual.comp2, rep.passed, **extra)
+
+
+def _finish(theorem, rows, skipped, seed) -> SuiteResult:
+    for r in rows:
+        r["theorem"] = theorem
+        r["seed"] = seed
     passed = sum(1 for r in rows if r["passed"])
-    failed = len(rows) - passed
-    max_res = max((max(r["residual1"], r["residual2"]) for r in rows), default=0.0)
-    if seed is not None:
-        for r in rows:
-            r.setdefault("seed", seed)
     return SuiteResult(
         theorem=theorem,
-        samples=samples,
+        samples=len(rows) + skipped,
         passed=passed,
-        failed=failed,
+        failed=len(rows) - passed,
         skipped=skipped,
-        max_residual=max_res,
+        max_residual=max((max(r["residual1"], r["residual2"]) for r in rows), default=0.0),
         rows=rows,
-        details=details or {},
     )
 
 
@@ -102,6 +117,21 @@ def _ball_z(rng, rmin=0.05, rmax=0.75) -> BiComplex:
     return BiComplex.from_idempotent(comps[0], comps[1])
 
 
+def _positive_bc(rng, lo=0.3, hi=2.0, im=0.4) -> BiComplex:
+    return BiComplex.from_idempotent(
+        complex(rng.uniform(lo, hi), rng.uniform(-im, im)),
+        complex(rng.uniform(lo, hi), rng.uniform(-im, im)),
+    )
+
+
+def _real_bc(rng) -> BiComplex:
+    return BiComplex.from_idempotent(rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5))
+
+
+def _pick(rng, shapes):
+    return shapes[int(rng.integers(len(shapes)))]
+
+
 def _sample_params(rng, p, q, re=(0.3, 2.2), im=(-0.35, 0.35)) -> PfqParams:
     for _ in range(MAX_ATTEMPTS):
         try:
@@ -124,31 +154,46 @@ def _attempts(fn):
 
 
 # ---------------------------------------------------------------------------
-# Series equivalence and convergence suites.
+# Series equivalence and convergence.
 # ---------------------------------------------------------------------------
 
+_ALL_SHAPES = [(p, q) for p in range(4) for q in range(4)]
 
-def suite_idempotent(samples=1000, seed=7, tol=1e-12) -> SuiteResult:
+
+def _idempotent_case(rng, o, case):
     """Engine components against the independent classical oracle."""
-    rng = np.random.default_rng(seed)
-    shapes = [(p, q) for p in range(4) for q in range(4)]
-    rows = []
-    for case in range(samples):
-        p, q = shapes[int(rng.integers(len(shapes)))]
-        params = _sample_params(rng, p, q)
-        if p > q + 1:
-            z = BiComplex(0.0)
-        elif p == q + 1:
-            z = _ball_z(rng, rmax=0.75)
-        else:
-            z = _ball_z(rng, rmax=2.0)
-        v1, v2 = hyper.pfq_components(params, z)
-        o1 = hyper.oracle_pfq_complex(params.comp_alphas(1), params.comp_betas(1), z.idem1)
-        o2 = hyper.oracle_pfq_complex(params.comp_alphas(2), params.comp_betas(2), z.idem2)
-        r1 = identities.relative_residual(v1, o1)
-        r2 = identities.relative_residual(v2, o2)
-        rows.append(_row("thm2.1", case, params, z, r1, r2, r1 <= tol and r2 <= tol))
-    return _finish("thm2.1", samples, rows, 0, seed=seed)
+    p, q = _pick(rng, _ALL_SHAPES)
+    params = _sample_params(rng, p, q)
+    if p > q + 1:
+        z = BiComplex(0.0)
+    elif p == q + 1:
+        z = _ball_z(rng, rmax=0.75)
+    else:
+        z = _ball_z(rng, rmax=2.0)
+    values = hyper.pfq_components(params, z)
+    oracle = hyper.per_component(hyper.oracle_pfq_complex, params, z)
+    r1, r2 = map(identities.relative_residual, values, oracle)
+    return _row(case, params, z, r1, r2, r1 <= o["tol"] and r2 <= o["tol"])
+
+
+def _classify_case(rng, o, case):
+    """Trichotomy by shape."""
+    p = int(rng.integers(0, 4))
+    q = int(rng.integers(0, 4))
+    params = _sample_params(rng, p, q)
+    cls = hyper.classify(params)
+    if p <= q:
+        good = cls.kind is ConvergenceKind.ENTIRE
+    elif p == q + 1:
+        good = cls.kind in (ConvergenceKind.UNIT_BALL, ConvergenceKind.UNIT_BALL_BOUNDARY)
+        if good and cls.margin is not None:
+            # cartesian margin must agree with the idempotent exponents
+            good = abs(cls.margin - min(cls.eta1, cls.eta2)) <= 1e-9 * max(
+                1.0, abs(cls.margin)
+            )
+    else:
+        good = cls.kind is ConvergenceKind.DIVERGENT
+    return _row(case, params, BiComplex(0.0), 0.0, 0.0, good, kind=cls.kind.value)
 
 
 def _boundary_case(rng, eta_lo, eta_hi):
@@ -160,14 +205,9 @@ def _boundary_case(rng, eta_lo, eta_hi):
         alphas = [_bc_idem(rng, re=(0.25, 1.3), im=(-0.25, 0.25)) for _ in range(p)]
         betas = [_bc_idem(rng, re=(0.4, 1.6), im=(-0.25, 0.25)) for _ in range(q - 1)]
         comps = []
-        for s in (1, 2):
-            attr = "idem1" if s == 1 else "idem2"
+        for _, *c in components(*alphas, *betas):
             target = rng.uniform(eta_lo, eta_hi)
-            re_needed = (
-                target
-                + sum(getattr(a, attr).real for a in alphas)
-                - sum(getattr(b, attr).real for b in betas)
-            )
+            re_needed = target + sum(x.real for x in c[:p]) - sum(x.real for x in c[p:])
             comps.append(complex(re_needed, rng.uniform(-0.25, 0.25)))
         betas.append(BiComplex.from_idempotent(comps[0], comps[1]))
         try:
@@ -183,478 +223,326 @@ def _boundary_case(rng, eta_lo, eta_hi):
     return _attempts(draw)
 
 
-def suite_classify(samples=200, seed=7, boundary=50, threshold=1e-8, cap=20000) -> SuiteResult:
-    """Trichotomy by shape plus boundary Cauchy behavior on both sides."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    skipped = 0
-    for case in range(samples):
-        p = int(rng.integers(0, 4))
-        q = int(rng.integers(0, 4))
-        params = _sample_params(rng, p, q)
-        cls = hyper.classify(params)
-        if p <= q:
-            good = cls.kind is ConvergenceKind.ENTIRE
-        elif p == q + 1:
-            good = cls.kind in (ConvergenceKind.UNIT_BALL, ConvergenceKind.UNIT_BALL_BOUNDARY)
-            if good and cls.margin is not None:
-                # cartesian margin must agree with the idempotent exponents
-                good = abs(cls.margin - min(cls.eta1, cls.eta2)) <= 1e-9 * max(
-                    1.0, abs(cls.margin)
-                )
+def _boundary_body(eta_lo, eta_hi, side):
+    """Cauchy behavior on the unit torus: side "+" must converge, "-" not."""
+
+    def body(rng, o, case):
+        got = _boundary_case(rng, eta_lo, eta_hi)
+        if got is None:
+            return None
+        params, z = got
+        (d1, _, f1), (d2, _, f2) = hyper.boundary_probe(params, z, cap=o["cap"])
+        threshold = o["threshold"]
+        if side == "+":
+            good = f1 and f2 and d1 < threshold and d2 < threshold
         else:
-            good = cls.kind is ConvergenceKind.DIVERGENT
-        rows.append(_row("thm2.2", case, params, BiComplex(0.0), 0.0, 0.0, good,
-                         kind=cls.kind.value))
-    for case in range(boundary):
-        got = _boundary_case(rng, 2.0, 4.0)
-        if got is None:
-            skipped += 1
-            continue
-        params, z = got
-        (d1, _, f1), (d2, _, f2) = hyper.boundary_probe(params, z, cap=cap)
-        good = f1 and f2 and d1 < threshold and d2 < threshold
-        rows.append(_row("thm2.2", f"boundary+{case}", params, z, d1, d2, good,
-                         margin=hyper.classify(params).margin))
-    for case in range(boundary):
-        got = _boundary_case(rng, -2.5, -0.3)
-        if got is None:
-            skipped += 1
-            continue
-        params, z = got
-        (d1, _, f1), (d2, _, f2) = hyper.boundary_probe(params, z, cap=cap)
-        good = (not f1) or (not f2) or d1 > threshold or d2 > threshold
-        rows.append(_row("thm2.2", f"boundary-{case}", params, z,
-                         min(d1, 1e3), min(d2, 1e3), good,
-                         margin=hyper.classify(params).margin))
-    return _finish("thm2.2", samples + 2 * boundary, rows, skipped, seed=seed)
+            good = (not f1) or (not f2) or d1 > threshold or d2 > threshold
+            d1, d2 = min(d1, 1e3), min(d2, 1e3)
+        return _row(f"boundary{side}{case}", params, z, d1, d2, good,
+                    margin=hyper.classify(params).margin)
+
+    return body
 
 
-def suite_examples(samples=100, seed=7, tol=1e-11) -> SuiteResult:
-    """The three closed-form worked examples on random ball points."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for case in range(samples):
-        z = _ball_z(rng, rmin=0.08, rmax=0.8)
-        one = BiComplex(1.0)
-
-        kummer = hyper.hyp1f1(1.0, 3.0, z)
-        closed = BiComplex.from_idempotent(
-            *(2.0 * (cmath.exp(c) - 1.0 - c) / (c * c) for c in (z.idem1, z.idem2))
-        )
-        r1 = identities.relative_residual(kummer.idem1, closed.idem1)
-        r2 = identities.relative_residual(kummer.idem2, closed.idem2)
-        rows.append(_row("examples", f"1f1-{case}", "1F1(1;3;Z)", z, r1, r2,
-                         r1 <= tol and r2 <= tol))
-
-        gauss = hyper.hyp2f1(1.0, 2.0, 1.0, z)
-        closed = bc_pow(one - z, -2)
-        r1 = identities.relative_residual(gauss.idem1, closed.idem1)
-        r2 = identities.relative_residual(gauss.idem2, closed.idem2)
-        rows.append(_row("examples", f"2f1-{case}", "2F1(1,2;1;Z)", z, r1, r2,
-                         r1 <= tol and r2 <= tol))
-
-        binom = hyper.hyp1f0(3.0, z)
-        closed = bc_pow(one - z, -3)
-        r1 = identities.relative_residual(binom.idem1, closed.idem1)
-        r2 = identities.relative_residual(binom.idem2, closed.idem2)
-        rows.append(_row("examples", f"1f0-{case}", "1F0(3;;Z)", z, r1, r2,
-                         r1 <= tol and r2 <= tol))
-    return _finish("examples", 3 * samples, rows, 0, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Integral representation suites.
-# ---------------------------------------------------------------------------
-
-
-def _positive_bc(rng, lo=0.3, hi=2.0, im=0.4) -> BiComplex:
-    return BiComplex.from_idempotent(
-        complex(rng.uniform(lo, hi), rng.uniform(-im, im)),
-        complex(rng.uniform(lo, hi), rng.uniform(-im, im)),
+def _examples_case(rng, o, case):
+    """The three closed-form worked examples on one random ball point."""
+    z = _ball_z(rng, rmin=0.08, rmax=0.8)
+    one = BiComplex(1.0)
+    kummer = BiComplex.from_idempotent(
+        *(2.0 * (cmath.exp(c) - 1.0 - c) / (c * c) for _, c in components(z))
     )
-
-
-def suite_euler(samples=100, seed=7, tol=1e-7, nodes=64) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
-    curve = quad.ProductCurve(quad.CurveKind.UNIT_INTERVAL, nodes)
+    checks = (
+        ("1f1", "1F1(1;3;Z)", hyper.hyp1f1(1.0, 3.0, z), kummer),
+        ("2f1", "2F1(1,2;1;Z)", hyper.hyp2f1(1.0, 2.0, 1.0, z), bc_pow(one - z, -2)),
+        ("1f0", "1F0(3;;Z)", hyper.hyp1f0(3.0, z), bc_pow(one - z, -3)),
+    )
     rows = []
-    skipped = 0
-    for case in range(samples):
-        p, q = shapes[int(rng.integers(len(shapes)))]
-
-        def draw(p=p, q=q):
-            a1 = _positive_bc(rng, 0.3, 2.0)
-            b1 = a1 + _positive_bc(rng, 0.3, 1.5)
-            rest_a = [_bc_idem(rng) for _ in range(p - 1)]
-            rest_b = [_bc_idem(rng) for _ in range(q - 1)]
-            try:
-                return PfqParams([a1] + rest_a, [b1] + rest_b)
-            except BCHyperError:
-                return None
-
-        params = _attempts(draw)
-        if params is None:
-            skipped += 1
-            continue
-        z = _ball_z(rng, rmax=0.8)
-        rep = quad.euler_integral(params, z, curve, tol)
-        rows.append(_row("thm3.1", case, params, z,
-                         rep.residual.comp1, rep.residual.comp2, rep.passed))
-    return _finish("thm3.1", samples, rows, skipped, seed=seed)
-
-
-def suite_laplace(samples=100, seed=7, tol=1e-7, nodes=64) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    shapes = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
-    curve = quad.ProductCurve(quad.CurveKind.HALF_LINE, nodes)
-    rows = []
-    for case in range(samples):
-        p, q = shapes[int(rng.integers(len(shapes)))]
-        params = _sample_params(rng, p, q)
-        v = _positive_bc(rng, 0.3, 2.5)
-        z = _ball_z(rng, rmax=0.75)
-        rep = quad.laplace_integral(v, params, z, curve, tol)
-        rows.append(_row("thm3.5", case, params, z,
-                         rep.residual.comp1, rep.residual.comp2, rep.passed,
-                         v=format_bicomplex(v)))
-    return _finish("thm3.5", samples, rows, 0, seed=seed)
-
-
-def suite_double(samples=100, seed=7, tol=1e-6, nodes=128) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    shapes = [(0, 0), (1, 1), (2, 1), (1, 2)]
-    curve = quad.ProductCurve(quad.CurveKind.UNIT_INTERVAL, nodes)
-    rows = []
-    for case in range(samples):
-        p, q = shapes[int(rng.integers(len(shapes)))]
-        params = _sample_params(rng, p, q)
-        m = _positive_bc(rng, 0.4, 2.2, im=0.3)
-        n = _positive_bc(rng, 0.4, 2.2, im=0.3)
-        z = _ball_z(rng, rmax=0.75)
-        rep = quad.double_integral(m, n, params, z, curve, tol)
-        rows.append(_row("thm3.8", case, params, z,
-                         rep.residual.comp1, rep.residual.comp2, rep.passed,
-                         m=format_bicomplex(m), n=format_bicomplex(n)))
-    return _finish("thm3.8", samples, rows, 0, seed=seed)
+    for label, name, value, closed in checks:
+        r1, r2 = (identities.relative_residual(v, c) for _, v, c in components(value, closed))
+        rows.append(_row(f"{label}-{case}", name, z, r1, r2, r1 <= o["tol"] and r2 <= o["tol"]))
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# Identity suites.
+# Integral representations.
+# ---------------------------------------------------------------------------
+
+
+def _euler_case(rng, o, case):
+    p, q = _pick(rng, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+
+    def draw():
+        a1 = _positive_bc(rng, 0.3, 2.0)
+        b1 = a1 + _positive_bc(rng, 0.3, 1.5)
+        rest_a = [_bc_idem(rng) for _ in range(p - 1)]
+        rest_b = [_bc_idem(rng) for _ in range(q - 1)]
+        try:
+            return PfqParams([a1] + rest_a, [b1] + rest_b)
+        except BCHyperError:
+            return None
+
+    params = _attempts(draw)
+    if params is None:
+        return None
+    z = _ball_z(rng, rmax=0.8)
+    curve = quad.ProductCurve(quad.CurveKind.UNIT_INTERVAL, o["nodes"])
+    return _report_row(case, params, z, quad.euler_integral(params, z, curve, o["tol"]))
+
+
+def _laplace_case(rng, o, case):
+    p, q = _pick(rng, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+    params = _sample_params(rng, p, q)
+    v = _positive_bc(rng, 0.3, 2.5)
+    z = _ball_z(rng, rmax=0.75)
+    curve = quad.ProductCurve(quad.CurveKind.HALF_LINE, o["nodes"])
+    rep = quad.laplace_integral(v, params, z, curve, o["tol"])
+    return _report_row(case, params, z, rep, v=format_bicomplex(v))
+
+
+def _double_case(rng, o, case):
+    p, q = _pick(rng, [(0, 0), (1, 1), (2, 1), (1, 2)])
+    params = _sample_params(rng, p, q)
+    m = _positive_bc(rng, 0.4, 2.2, im=0.3)
+    n = _positive_bc(rng, 0.4, 2.2, im=0.3)
+    z = _ball_z(rng, rmax=0.75)
+    curve = quad.ProductCurve(quad.CurveKind.UNIT_INTERVAL, o["nodes"])
+    rep = quad.double_integral(m, n, params, z, curve, o["tol"])
+    return _report_row(case, params, z, rep, m=format_bicomplex(m), n=format_bicomplex(n))
+
+
+# ---------------------------------------------------------------------------
+# Identities.
 # ---------------------------------------------------------------------------
 
 _TRANSFORM_SHAPES = [(0, 0), (1, 1), (2, 1), (1, 2)]
+_CONTIGUOUS_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2)]
 
 
-def suite_quad_even(samples=500, seed=7, tol=1e-9) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    rows = []
-    skipped = 0
-    for case in range(samples):
-        p, q = _TRANSFORM_SHAPES[int(rng.integers(len(_TRANSFORM_SHAPES)))]
+def _quadratic_body(relation, offset):
+    """Quadratic transform `relation`, whose halved shape at `offset`
+    must be a valid parameter set."""
 
-        def draw(p=p, q=q):
+    def body(rng, o, case):
+        p, q = _pick(rng, _TRANSFORM_SHAPES)
+
+        def draw():
             params = _sample_params(rng, p, q)
             try:
-                identities._even_shape(params)
+                identities._halved_shape(params, offset)
             except BCHyperError:
                 return None
             return params
 
         params = _attempts(draw)
         if params is None:
-            skipped += 1
-            continue
+            return None
         z = _ball_z(rng, rmax=0.7)
-        rep = identities.quad_even(params, z, tol)
-        rows.append(_row("thm4.1", case, params, z,
-                         rep.residual.comp1, rep.residual.comp2, rep.passed))
-    return _finish("thm4.1", samples, rows, skipped, seed=seed)
+        return _report_row(case, params, z, relation(params, z, o["tol"]))
+
+    return body
 
 
-def suite_quad_odd(samples=500, seed=7, tol=1e-9) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    rows = []
-    skipped = 0
-    for case in range(samples):
-        p, q = _TRANSFORM_SHAPES[int(rng.integers(len(_TRANSFORM_SHAPES)))]
+def _saalschutz_case(rng, o, case):
+    n = int(rng.integers(0, 7))
 
-        def draw(p=p, q=q):
-            params = _sample_params(rng, p, q)
-            try:
-                identities._odd_shape(params)
-            except BCHyperError:
-                return None
-            return params
+    def draw():
+        a1, a2, b = (_bc_idem(rng, re=(0.2, 2.4), im=(-0.5, 0.5)) for _ in range(3))
+        try:
+            return identities.saalschutz(n, a1, a2, b, o["tol"])
+        except BCHyperError:
+            return None
 
-        params = _attempts(draw)
-        if params is None:
-            skipped += 1
-            continue
-        z = _ball_z(rng, rmax=0.7)
-        rep = identities.quad_odd(params, z, tol)
-        rows.append(_row("thm4.2", case, params, z,
-                         rep.residual.comp1, rep.residual.comp2, rep.passed))
-    return _finish("thm4.2", samples, rows, skipped, seed=seed)
+    rep = _attempts(draw)
+    if rep is None:
+        return None
+    return _report_row(case, f"n={n}", BiComplex(1.0), rep)
 
 
-def suite_saalschutz(samples=500, seed=7, tol=1e-9) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    rows = []
-    skipped = 0
-    for case in range(samples):
-        n = int(rng.integers(0, 7))
-
-        def draw(n=n):
-            a1 = _bc_idem(rng, re=(0.2, 2.4), im=(-0.5, 0.5))
-            a2 = _bc_idem(rng, re=(0.2, 2.4), im=(-0.5, 0.5))
-            b = _bc_idem(rng, re=(0.2, 2.4), im=(-0.5, 0.5))
-            try:
-                return identities.saalschutz(n, a1, a2, b, tol)
-            except BCHyperError:
-                return None
-
-        rep = _attempts(draw)
-        if rep is None:
-            skipped += 1
-            continue
-        rows.append(_row("thm4.3", case, f"n={n}", BiComplex(1.0),
-                         rep.residual.comp1, rep.residual.comp2, rep.passed))
-    return _finish("thm4.3", samples, rows, skipped, seed=seed)
+def _derivative_case(rng, o, case):
+    p, q = _pick(rng, [(0, 0), (1, 1), (2, 1), (1, 2), (2, 2)])
+    k = int(rng.integers(0, o["kmax"] + 1))
+    params = _sample_params(rng, p, q)
+    z = _ball_z(rng, rmax=0.7)
+    return _report_row(case, params, z, identities.derivative_relation(params, z, k, o["tol"]), k=k)
 
 
-def suite_derivative(samples=500, seed=7, tol=1e-9, kmax=3) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    shapes = [(0, 0), (1, 1), (2, 1), (1, 2), (2, 2)]
-    rows = []
-    for case in range(samples):
-        p, q = shapes[int(rng.integers(len(shapes)))]
-        k = int(rng.integers(0, kmax + 1))
-        params = _sample_params(rng, p, q)
-        z = _ball_z(rng, rmax=0.7)
-        rep = identities.derivative_relation(params, z, k, tol)
-        rows.append(_row("thm5.1", case, params, z,
-                         rep.residual.comp1, rep.residual.comp2, rep.passed, k=k))
-    return _finish("thm5.1", samples, rows, 0, seed=seed)
-
-
-def suite_cauchy_riemann(samples=20, seed=7, hs=(1e-3, 1e-4, 1e-5),
-                         slope_band=(1.8, 2.2), min_signal=5e-6) -> SuiteResult:
+def _cauchy_riemann_case(rng, o, index):
     """Log-log slope of the CR finite-difference residual, in the
-    argument and in one parameter's cartesian parts.
+    argument (even `index`) and in one parameter's cartesian parts
+    (odd `index`) of case index // 2.
 
     Specs are drawn with a small first denominator parameter so that
     the third-derivative scale keeps the h^2 signal above the
     rounding floor of the smallest step.
     """
-    rng = np.random.default_rng(seed)
-    shapes = [(1, 1), (2, 1)]
-    rows = []
-    skipped = 0
-    log_h = np.log10(np.array(hs))
-    for case in range(samples):
-        for wrt in ("z", "beta"):
+    case, odd = divmod(index, 2)
+    wrt = ("z", "beta")[odd]
+    hs = o["hs"]
 
-            def draw(wrt=wrt):
-                p, q = shapes[int(rng.integers(len(shapes)))]
-                alphas = [_bc_idem(rng, re=(0.8, 2.2)) for _ in range(p)]
-                b0 = BiComplex.from_idempotent(
-                    complex(rng.uniform(0.15, 0.45), rng.uniform(-0.05, 0.05)),
-                    complex(rng.uniform(0.15, 0.45), rng.uniform(-0.05, 0.05)),
-                )
-                try:
-                    params = PfqParams(alphas, [b0])
-                except BCHyperError:
-                    return None
-                z = _ball_z(rng, rmin=0.5, rmax=0.75)
-                first = identities.cauchy_riemann_check(params, z, hs[0], wrt=wrt)
-                if first.residual.max_comp() < min_signal:
-                    return None  # curvature too small for a clean slope
-                return params, z, first
+    def draw():
+        p, q = _pick(rng, [(1, 1), (2, 1)])
+        alphas = [_bc_idem(rng, re=(0.8, 2.2)) for _ in range(p)]
+        b0 = BiComplex.from_idempotent(
+            complex(rng.uniform(0.15, 0.45), rng.uniform(-0.05, 0.05)),
+            complex(rng.uniform(0.15, 0.45), rng.uniform(-0.05, 0.05)),
+        )
+        try:
+            params = PfqParams(alphas, [b0])
+        except BCHyperError:
+            return None
+        z = _ball_z(rng, rmin=0.5, rmax=0.75)
+        first = identities.cauchy_riemann_check(params, z, hs[0], wrt=wrt)
+        if first.residual.max_comp() < o["min_signal"]:
+            return None  # curvature too small for a clean slope
+        return params, z, first
 
-            got = _attempts(draw)
-            if got is None:
-                skipped += 1
-                continue
-            params, z, first = got
-            res = [first.residual.max_comp()]
-            for h in hs[1:]:
-                rep = identities.cauchy_riemann_check(params, z, h, wrt=wrt)
-                res.append(rep.residual.max_comp())
-            slope = float(np.polyfit(log_h, np.log10(np.array(res)), 1)[0])
-            good = slope_band[0] <= slope <= slope_band[1]
-            rows.append(_row("thm5.2", f"{wrt}-{case}", params, z,
-                             res[0], res[-1], good, slope=slope))
-    return _finish("thm5.2", 2 * samples, rows, skipped, seed=seed)
+    got = _attempts(draw)
+    if got is None:
+        return None
+    params, z, first = got
+    res = [first.residual.max_comp()] + [
+        identities.cauchy_riemann_check(params, z, h, wrt=wrt).residual.max_comp()
+        for h in hs[1:]
+    ]
+    slope = float(np.polyfit(np.log10(np.array(hs)), np.log10(np.array(res)), 1)[0])
+    lo, hi = o["slope_band"]
+    return _row(f"{wrt}-{case}", params, z, res[0], res[-1], lo <= slope <= hi, slope=slope)
 
 
-def _contiguous_suite(theorem, op, samples, seed, tol, beta_offset=0.0):
-    rng = np.random.default_rng(seed)
-    shapes = [(1, 1), (2, 1), (2, 2), (3, 2)]
-    rows = []
-    skipped = 0
-    for case in range(samples):
-        p, q = shapes[int(rng.integers(len(shapes)))]
+def _contiguous_body(relation, beta_offset=0.0):
+    """Contiguous `relation` under a random shift M; the betas start at
+    0.4 + beta_offset."""
+
+    def body(rng, o, case):
+        p, q = _pick(rng, _CONTIGUOUS_SHAPES)
         shift = ShiftM(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
 
-        def draw(p=p, q=q, shift=shift):
+        def draw():
             alphas = [_bc_idem(rng, re=(0.3, 2.2)) for _ in range(p)]
             lo = 0.4 + beta_offset
             betas = [_bc_idem(rng, re=(lo, lo + 2.2)) for _ in range(q)]
             try:
                 params = PfqParams(alphas, betas)
-                return op(params, _ball_z(rng, rmax=0.6), shift, tol)
+                return relation(params, _ball_z(rng, rmax=0.6), shift, o["tol"])
             except BCHyperError:
                 return None
 
-        got = _attempts(draw)
-        if got is None:
-            skipped += 1
-            continue
-        rows.append(_row(theorem, case, f"shift=({shift.m},{shift.n})", BiComplex(0.0),
-                         got.residual.comp1, got.residual.comp2, got.passed))
-    return _finish(theorem, samples, rows, skipped, seed=seed)
+        rep = _attempts(draw)
+        if rep is None:
+            return None
+        return _report_row(case, f"shift=({shift.m},{shift.n})", BiComplex(0.0), rep)
+
+    return body
 
 
-def suite_contiguous_alpha_plus(samples=500, seed=7, tol=1e-9) -> SuiteResult:
-    return _contiguous_suite("thm6.1", identities.contiguous_alpha_plus, samples, seed, tol)
+def _recurrence_case(rng, o, case):
+    """Coefficient recurrence at ulp accuracy."""
+    p = int(rng.integers(0, 4))
+    q = int(rng.integers(0, 4))
+    params = _sample_params(rng, p, q)
+    ulps = identities.coefficient_recurrence_ulps(params, o["count"])
+    return _row(f"recurrence-{case}", params, BiComplex(0.0), ulps, ulps,
+                ulps <= o["max_ulps"], ulps=ulps)
 
 
-def suite_contiguous_alpha_minus(samples=500, seed=7, tol=1e-9) -> SuiteResult:
-    return _contiguous_suite("thm6.2", identities.contiguous_alpha_minus, samples, seed, tol)
-
-
-def suite_contiguous_beta_minus(samples=500, seed=7, tol=1e-9) -> SuiteResult:
-    # beta1 - M must stay a valid denominator parameter for shifts <= 3
-    return _contiguous_suite("thm6.3", identities.contiguous_beta_minus, samples, seed, tol,
-                             beta_offset=3.1)
-
-
-def suite_contiguous_beta_plus(samples=500, seed=7, tol=1e-9) -> SuiteResult:
-    return _contiguous_suite("thm6.4", identities.contiguous_beta_plus, samples, seed, tol)
-
-
-def suite_ode(samples=100, seed=7, max_ulps=2.0, count=200) -> SuiteResult:
-    """Coefficient recurrence at ulp accuracy plus the operator residual bound."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for case in range(samples):
-        p = int(rng.integers(0, 4))
-        q = int(rng.integers(0, 4))
-        params = _sample_params(rng, p, q)
-        ulps = identities.coefficient_recurrence_ulps(params, count)
-        rows.append(_row("thm7.1", f"recurrence-{case}", params, BiComplex(0.0),
-                         ulps, ulps, ulps <= max_ulps, ulps=ulps))
-    for case in range(20):
-        p = int(rng.integers(0, 3))
-        q = int(rng.integers(max(0, p - 1), 4))  # keep p <= q+1 for evaluation
-        params = _sample_params(rng, p, q)
-        z = _ball_z(rng, rmax=0.5)
-        resid, bound = identities.ode_residual_with_bound(params, z, 60)
-        limit1 = max(bound.comp1 * (1.0 + 1e-6), 1e-10)
-        limit2 = max(bound.comp2 * (1.0 + 1e-6), 1e-10)
-        good = resid.comp1 <= limit1 and resid.comp2 <= limit2
-        rows.append(_row("thm7.1", f"operator-{case}", params, z,
-                         resid.comp1, resid.comp2, good))
-    return _finish("thm7.1", samples + 20, rows, 0, seed=seed)
+def _operator_case(rng, o, case):
+    """The differential operator's residual against its dropped-term bound."""
+    p = int(rng.integers(0, 3))
+    q = int(rng.integers(max(0, p - 1), 4))  # keep p <= q+1 for evaluation
+    params = _sample_params(rng, p, q)
+    z = _ball_z(rng, rmax=0.5)
+    resid, bound = identities.ode_residual_with_bound(params, z, 60)
+    limit1 = max(bound.comp1 * (1.0 + 1e-6), 1e-10)
+    limit2 = max(bound.comp2 * (1.0 + 1e-6), 1e-10)
+    good = resid.comp1 <= limit1 and resid.comp2 <= limit2
+    return _row(f"operator-{case}", params, z, resid.comp1, resid.comp2, good)
 
 
 # ---------------------------------------------------------------------------
-# Coherent-state suite.
+# Coherent states.
 # ---------------------------------------------------------------------------
 
+_COHERENT_SHAPES = [(0, 0), (1, 1), (0, 1), (2, 1), (1, 2)]
+_EPS = float(np.finfo(float).eps)
 
-def suite_coherent(samples=100, seed=7) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    shapes = [(0, 0), (1, 1), (0, 1), (2, 1), (1, 2)]
+
+def _coherent_case(rng, o, case):
+    p, q = _pick(rng, _COHERENT_SHAPES)
+    alphas = [_real_bc(rng) for _ in range(p)]
+    betas = [_real_bc(rng) for _ in range(q)]
+    z = _ball_z(rng, rmin=0.1, rmax=0.8)
+    spec = coherent.CoherentSpec(PfqParams(alphas, betas), z)
+    tables = coherent.build_tables(spec)
     rows = []
-    eps = float(np.finfo(float).eps)
-    for case in range(samples):
-        p, q = shapes[int(rng.integers(len(shapes)))]
-        alphas = [BiComplex.from_idempotent(rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5))
-                  for _ in range(p)]
-        betas = [BiComplex.from_idempotent(rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5))
-                 for _ in range(q)]
-        z = _ball_z(rng, rmin=0.1, rmax=0.8)
-        spec = coherent.CoherentSpec(PfqParams(alphas, betas), z)
-        tables = coherent.build_tables(spec)
 
-        # recurrence exactness over the finite prefix of the table
-        worst = 0.0
-        for rho, f in ((tables.rho1, tables.f1), (tables.rho2, tables.f2)):
-            finite = np.isfinite(rho)
-            upto = int(np.argmin(finite)) if not finite.all() else len(rho)
-            for nn in range(upto - 1):
-                lhs = rho[nn + 1]
-                rhs = rho[nn] * f[nn] ** 2
-                scale = np.spacing(max(abs(lhs), abs(rhs)))
-                if scale > 0:
-                    worst = max(worst, abs(lhs - rhs) / scale)
-        rows.append(_row("cs", f"recurrence-{case}", spec.params, z,
-                         worst, worst, worst <= 2.0))
+    # recurrence exactness over the finite prefix of the table
+    worst = 0.0
+    for rho, f in ((tables.rho1, tables.f1), (tables.rho2, tables.f2)):
+        finite = np.isfinite(rho)
+        upto = int(np.argmin(finite)) if not finite.all() else len(rho)
+        for nn in range(upto - 1):
+            lhs = rho[nn + 1]
+            rhs = rho[nn] * f[nn] ** 2
+            scale = np.spacing(max(abs(lhs), abs(rhs)))
+            if scale > 0:
+                worst = max(worst, abs(lhs - rhs) / scale)
+    rows.append(_row(f"recurrence-{case}", spec.params, z, worst, worst, worst <= 2.0))
 
-        # eigenstate property with the tail bound, edge term included
-        c1, c2 = coherent.coefficient_arrays(spec)
-        good = True
-        res = []
-        for f, c, zc in ((tables.f1, c1, z.idem1), (tables.f2, c2, z.idem2)):
-            diff = np.empty(len(c), dtype=np.complex128)
-            diff[:-1] = f * c[1:] - zc * c[:-1]
-            diff[-1] = -zc * c[-1]
-            misfit = float(np.linalg.norm(diff))
-            bound = abs(c[-1]) * f[-1] + 64 * eps * len(c)
-            res.append(misfit)
-            good = good and misfit <= bound
-        rows.append(_row("cs", f"eigen-{case}", spec.params, z, res[0], res[1], good))
+    # eigenstate property with the tail bound, edge term included
+    c1, c2 = coherent.coefficient_arrays(spec)
+    good = True
+    res = []
+    for (_, zc), f, c in zip(components(z), (tables.f1, tables.f2), (c1, c2)):
+        diff = np.empty(len(c), dtype=np.complex128)
+        diff[:-1] = f * c[1:] - zc * c[:-1]
+        diff[-1] = -zc * c[-1]
+        misfit = float(np.linalg.norm(diff))
+        bound = abs(c[-1]) * f[-1] + 64 * _EPS * len(c)
+        res.append(misfit)
+        good = good and misfit <= bound
+    rows.append(_row(f"eigen-{case}", spec.params, z, res[0], res[1], good))
 
-        # normalization: the state overlaps itself to one
-        overlap = coherent.inner_product(spec, spec)
-        r1 = abs(overlap.idem1 - 1.0)
-        r2 = abs(overlap.idem2 - 1.0)
-        rows.append(_row("cs", f"norm-{case}", spec.params, z, r1, r2,
-                         r1 <= 1e-12 and r2 <= 1e-12))
+    # normalization: the state overlaps itself to one
+    overlap = coherent.inner_product(spec, spec)
+    r1 = abs(overlap.idem1 - 1.0)
+    r2 = abs(overlap.idem2 - 1.0)
+    rows.append(_row(f"norm-{case}", spec.params, z, r1, r2, r1 <= 1e-12 and r2 <= 1e-12))
 
-        if case < 25:
-            # adjointness and commutator diagonal on a dense truncation
-            size = 30
-            (lo1, lo2), (up1, up2) = coherent.ladder_matrices(spec, size)
-            adj = max(
-                float(np.max(np.abs(up1 - lo1.conj().T))),
-                float(np.max(np.abs(up2 - lo2.conj().T))),
-            )
-            comm_ok = adj == 0.0
-            worst_comm = 0.0
-            for lo, up, f in ((lo1, up1, tables.f1), (lo2, up2, tables.f2)):
-                comm = (lo @ up - up @ lo).diagonal().real
-                for nn in range(1, size - 1):
-                    want = f[nn] ** 2 - f[nn - 1] ** 2
-                    # ulps at the scale of the products being differenced
-                    scale = np.spacing(max(f[nn] ** 2, f[nn - 1] ** 2, 1e-300))
-                    worst_comm = max(worst_comm, abs(comm[nn] - want) / scale)
-            comm_ok = comm_ok and worst_comm <= 2.0
-            rows.append(_row("cs", f"adjoint-{case}", spec.params, z,
-                             adj, worst_comm, comm_ok))
+    if case < 25:
+        # adjointness and commutator diagonal on a dense truncation
+        size = 30
+        (lo1, lo2), (up1, up2) = coherent.ladder_matrices(spec, size)
+        adj = max(
+            float(np.max(np.abs(up1 - lo1.conj().T))),
+            float(np.max(np.abs(up2 - lo2.conj().T))),
+        )
+        comm_ok = adj == 0.0
+        worst_comm = 0.0
+        for lo, up, f in ((lo1, up1, tables.f1), (lo2, up2, tables.f2)):
+            comm = (lo @ up - up @ lo).diagonal().real
+            for nn in range(1, size - 1):
+                want = f[nn] ** 2 - f[nn - 1] ** 2
+                # ulps at the scale of the products being differenced
+                scale = np.spacing(max(f[nn] ** 2, f[nn - 1] ** 2, 1e-300))
+                worst_comm = max(worst_comm, abs(comm[nn] - want) / scale)
+        comm_ok = comm_ok and worst_comm <= 2.0
+        rows.append(_row(f"adjoint-{case}", spec.params, z, adj, worst_comm, comm_ok))
+    return rows
 
-    # positivity gate: sign violations must all be rejected
+
+def _positivity_gate(rng, o, case):
+    """One row: a sign flip in one component of one parameter, drawn
+    `samples` times, must be rejected every time."""
+    total = o["samples"]
     rejected = 0
-    gate_total = samples
-    for case in range(gate_total):
-        p, q = shapes[int(rng.integers(1, len(shapes)))]  # at least one parameter
-        alphas = [BiComplex.from_idempotent(rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5))
-                  for _ in range(p)]
-        betas = [BiComplex.from_idempotent(rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5))
-                 for _ in range(q)]
-        pool = alphas + betas
+    for _ in range(total):
+        p, q = _COHERENT_SHAPES[int(rng.integers(1, len(_COHERENT_SHAPES)))]  # at least one parameter
+        pool = [_real_bc(rng) for _ in range(p)] + [_real_bc(rng) for _ in range(q)]
         idx = int(rng.integers(len(pool)))
         comp = int(rng.integers(2))
-        old = pool[idx]
-        flipped = (
-            BiComplex.from_idempotent(-old.idem1 - 0.1, old.idem2)
-            if comp == 0
-            else BiComplex.from_idempotent(old.idem1, -old.idem2 - 0.1)
-        )
-        pool[idx] = flipped
+        parts = [c for _, c in components(pool[idx])]
+        parts[comp] = -parts[comp] - 0.1
+        pool[idx] = BiComplex.from_idempotent(*parts)
         try:
             coherent.CoherentSpec(
                 PfqParams(pool[:p], pool[p:]), _ball_z(rng, rmax=0.6)
@@ -663,40 +551,99 @@ def suite_coherent(samples=100, seed=7) -> SuiteResult:
             rejected += 1
         except BCHyperError:
             rejected += 1  # rejected for a stricter reason, still rejected
-    rows.append(_row("cs", "positivity-gate", f"{rejected}/{gate_total}", BiComplex(0.0),
-                     0.0, 0.0, rejected == gate_total, rejected=rejected))
-    return _finish("cs", len(rows), rows, 0, seed=seed)
+    return _row("positivity-gate", f"{rejected}/{total}", BiComplex(0.0),
+                0.0, 0.0, rejected == total, rejected=rejected)
 
 
 # ---------------------------------------------------------------------------
-# Registry.
+# Registry and the one suite loop.
 # ---------------------------------------------------------------------------
+
+
+def _samples(o):
+    return o["samples"]
+
+
+def _suite(theorem, *phases, **defaults) -> Suite:
+    return Suite(theorem, phases, {"seed": 7, **defaults})
+
 
 SUITES = {
-    "thm2.1": suite_idempotent,
-    "thm2.2": suite_classify,
-    "examples": suite_examples,
-    "thm3.1": suite_euler,
-    "thm3.5": suite_laplace,
-    "thm3.8": suite_double,
-    "thm4.1": suite_quad_even,
-    "thm4.2": suite_quad_odd,
-    "thm4.3": suite_saalschutz,
-    "thm5.1": suite_derivative,
-    "thm5.2": suite_cauchy_riemann,
-    "thm6.1": suite_contiguous_alpha_plus,
-    "thm6.2": suite_contiguous_alpha_minus,
-    "thm6.3": suite_contiguous_beta_minus,
-    "thm6.4": suite_contiguous_beta_plus,
-    "thm7.1": suite_ode,
-    "cs-eigen": suite_coherent,
+    "thm2.1": _suite("thm2.1", (_samples, _idempotent_case), samples=1000, tol=1e-12),
+    "thm2.2": _suite(
+        "thm2.2",
+        (_samples, _classify_case),
+        (lambda o: o["boundary"], _boundary_body(2.0, 4.0, "+")),
+        (lambda o: o["boundary"], _boundary_body(-2.5, -0.3, "-")),
+        samples=200, boundary=50, threshold=1e-8, cap=20000,
+    ),
+    "examples": _suite("examples", (_samples, _examples_case), samples=100, tol=1e-11),
+    "thm3.1": _suite("thm3.1", (_samples, _euler_case), samples=100, tol=1e-7, nodes=64),
+    "thm3.5": _suite("thm3.5", (_samples, _laplace_case), samples=100, tol=1e-7, nodes=64),
+    "thm3.8": _suite("thm3.8", (_samples, _double_case), samples=100, tol=1e-6, nodes=128),
+    "thm4.1": _suite("thm4.1", (_samples, _quadratic_body(identities.quad_even, 0)),
+                     samples=500, tol=1e-9),
+    "thm4.2": _suite("thm4.2", (_samples, _quadratic_body(identities.quad_odd, 1)),
+                     samples=500, tol=1e-9),
+    "thm4.3": _suite("thm4.3", (_samples, _saalschutz_case), samples=500, tol=1e-9),
+    "thm5.1": _suite("thm5.1", (_samples, _derivative_case), samples=500, tol=1e-9, kmax=3),
+    "thm5.2": _suite(
+        "thm5.2",
+        (lambda o: 2 * o["samples"], _cauchy_riemann_case),
+        samples=20, hs=(1e-3, 1e-4, 1e-5), slope_band=(1.8, 2.2), min_signal=5e-6,
+    ),
+    "thm6.1": _suite("thm6.1", (_samples, _contiguous_body(identities.contiguous_alpha_plus)),
+                     samples=500, tol=1e-9),
+    "thm6.2": _suite("thm6.2", (_samples, _contiguous_body(identities.contiguous_alpha_minus)),
+                     samples=500, tol=1e-9),
+    # beta1 - M must stay a valid denominator parameter for shifts <= 3
+    "thm6.3": _suite("thm6.3",
+                     (_samples, _contiguous_body(identities.contiguous_beta_minus, 3.1)),
+                     samples=500, tol=1e-9),
+    "thm6.4": _suite("thm6.4", (_samples, _contiguous_body(identities.contiguous_beta_plus)),
+                     samples=500, tol=1e-9),
+    "thm7.1": _suite(
+        "thm7.1",
+        (_samples, _recurrence_case),
+        (lambda o: 20, _operator_case),
+        samples=100, max_ulps=2.0, count=200,
+    ),
+    "cs-eigen": _suite(
+        "cs",
+        (_samples, _coherent_case),
+        (lambda o: 1, _positivity_gate),
+        samples=100,
+    ),
 }
 
 
-def run_suite(theorem: str, **overrides) -> SuiteResult:
+def run_suite(theorem: str, **options) -> SuiteResult:
+    """Run one suite with `options` over its defaults.
+
+    One generator, seeded by the `seed` option, feeds every case of
+    every phase in order.  The result counts each case that returned
+    no row as skipped; its `samples` is rows plus skips.
+    """
     if theorem not in SUITES:
         raise KeyError(f"unknown suite {theorem!r}; known: {sorted(SUITES)}")
-    return SUITES[theorem](**overrides)
+    suite = SUITES[theorem]
+    unknown = sorted(set(options) - set(suite.defaults))
+    if unknown:
+        raise TypeError(f"suite {theorem!r} takes {sorted(suite.defaults)}, not {unknown}")
+    o = {**suite.defaults, **options}
+    rng = np.random.default_rng(o["seed"])
+    rows = []
+    skipped = 0
+    for cases, body in suite.phases:
+        for case in range(cases(o)):
+            out = body(rng, o, case)
+            if out is None:
+                skipped += 1
+            elif isinstance(out, dict):
+                rows.append(out)
+            else:
+                rows.extend(out)
+    return _finish(suite.theorem, rows, skipped, o["seed"])
 
 
 def region_scan(params: PfqParams, grid: int = 32, rmax: float = 1.25,
@@ -708,20 +655,18 @@ def region_scan(params: PfqParams, grid: int = 32, rmax: float = 1.25,
     (r1, r2, converged).
     """
     radii = np.linspace(0.0, rmax, grid)
-    flags = []
-    for s in (1, 2):
-        a = params.comp_alphas(s)
-        b = params.comp_betas(s)
-        comp_flags = []
-        for r in radii:
-            if r == 0.0:
-                comp_flags.append(True)
-                continue
-            delta, _, finite = kernels.window_probe(a, b, complex(r), cap, 50)
-            comp_flags.append(bool(finite and delta < threshold))
-        flags.append(comp_flags)
-    rows = []
-    for i, r1 in enumerate(radii):
-        for j, r2 in enumerate(radii):
-            rows.append((float(r1), float(r2), flags[0][i] and flags[1][j]))
-    return rows
+
+    def converges(a, b, r):
+        if r == 0.0:
+            return True
+        delta, _, finite = kernels.window_probe(a, b, complex(r), cap, 50)
+        return bool(finite and delta < threshold)
+
+    flags1, flags2 = hyper.per_component(
+        lambda a, b: [converges(a, b, r) for r in radii], params
+    )
+    return [
+        (float(r1), float(r2), flags1[i] and flags2[j])
+        for i, r1 in enumerate(radii)
+        for j, r2 in enumerate(radii)
+    ]

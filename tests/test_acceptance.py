@@ -22,7 +22,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_idempotent_oracle_equivalence():
     start = time.time()
-    res = verify.suite_idempotent(samples=1000, seed=7, tol=1e-12)
+    res = verify.run_suite("thm2.1", samples=1000, seed=7, tol=1e-12)
     elapsed = time.time() - start
     ok = res.ok and elapsed <= 30.0
     _report(
@@ -33,7 +33,7 @@ def test_criterion_1_idempotent_oracle_equivalence():
 
 
 def test_criterion_2_convergence_trichotomy():
-    res = verify.suite_classify(samples=200, seed=7, boundary=50, threshold=1e-8)
+    res = verify.run_suite("thm2.2", samples=200, seed=7, boundary=50, threshold=1e-8)
     shape_rows = [r for r in res.rows if isinstance(r["case"], int)]
     plus_rows = [r for r in res.rows if str(r["case"]).startswith("boundary+")]
     minus_rows = [r for r in res.rows if str(r["case"]).startswith("boundary-")]
@@ -53,7 +53,7 @@ def test_criterion_2_convergence_trichotomy():
 
 
 def test_criterion_3_worked_examples():
-    res = verify.suite_examples(samples=100, seed=7, tol=1e-11)
+    res = verify.run_suite("examples", samples=100, seed=7, tol=1e-11)
     _report(
         "3 worked closed forms",
         res.ok,
@@ -62,9 +62,9 @@ def test_criterion_3_worked_examples():
 
 
 def test_criterion_4_integral_representations():
-    euler = verify.suite_euler(samples=100, seed=7, tol=1e-7, nodes=64)
-    laplace = verify.suite_laplace(samples=100, seed=7, tol=1e-7, nodes=64)
-    double = verify.suite_double(samples=100, seed=7, tol=1e-6, nodes=128)
+    euler = verify.run_suite("thm3.1", samples=100, seed=7, tol=1e-7, nodes=64)
+    laplace = verify.run_suite("thm3.5", samples=100, seed=7, tol=1e-7, nodes=64)
+    double = verify.run_suite("thm3.8", samples=100, seed=7, tol=1e-6, nodes=128)
     ok = euler.ok and laplace.ok and double.ok
 
     # node halving degrades, doubling improves, down to the series floor
@@ -104,15 +104,15 @@ def test_criterion_4_integral_representations():
 
 def test_criterion_5_identity_suites():
     suites = {
-        "thm4.1": verify.suite_quad_even(samples=500, seed=7, tol=1e-9),
-        "thm4.2": verify.suite_quad_odd(samples=500, seed=7, tol=1e-9),
-        "thm4.3": verify.suite_saalschutz(samples=500, seed=7, tol=1e-9),
-        "thm5.1": verify.suite_derivative(samples=500, seed=7, tol=1e-9, kmax=3),
-        "thm6.1": verify.suite_contiguous_alpha_plus(samples=500, seed=7, tol=1e-9),
-        "thm6.2": verify.suite_contiguous_alpha_minus(samples=500, seed=7, tol=1e-9),
-        "thm6.3": verify.suite_contiguous_beta_minus(samples=500, seed=7, tol=1e-9),
-        "thm6.4": verify.suite_contiguous_beta_plus(samples=500, seed=7, tol=1e-9),
-        "thm7.1": verify.suite_ode(samples=100, seed=7, max_ulps=2.0, count=200),
+        "thm4.1": verify.run_suite("thm4.1", samples=500, seed=7, tol=1e-9),
+        "thm4.2": verify.run_suite("thm4.2", samples=500, seed=7, tol=1e-9),
+        "thm4.3": verify.run_suite("thm4.3", samples=500, seed=7, tol=1e-9),
+        "thm5.1": verify.run_suite("thm5.1", samples=500, seed=7, tol=1e-9, kmax=3),
+        "thm6.1": verify.run_suite("thm6.1", samples=500, seed=7, tol=1e-9),
+        "thm6.2": verify.run_suite("thm6.2", samples=500, seed=7, tol=1e-9),
+        "thm6.3": verify.run_suite("thm6.3", samples=500, seed=7, tol=1e-9),
+        "thm6.4": verify.run_suite("thm6.4", samples=500, seed=7, tol=1e-9),
+        "thm7.1": verify.run_suite("thm7.1", samples=100, seed=7, max_ulps=2.0, count=200),
     }
     ok = all(r.ok for r in suites.values())
     worst = max(r.max_residual for name, r in suites.items() if name != "thm7.1")
@@ -124,8 +124,8 @@ def test_criterion_5_identity_suites():
 
 
 def test_criterion_6_cauchy_riemann_scaling():
-    res = verify.suite_cauchy_riemann(
-        samples=20, seed=7, hs=(1e-3, 1e-4, 1e-5), slope_band=(1.8, 2.2)
+    res = verify.run_suite(
+        "thm5.2", samples=20, seed=7, hs=(1e-3, 1e-4, 1e-5), slope_band=(1.8, 2.2)
     )
     slopes = [r["slope"] for r in res.rows]
     ok = res.ok and len(res.rows) == 40
@@ -137,7 +137,7 @@ def test_criterion_6_cauchy_riemann_scaling():
 
 
 def test_criterion_7_coherent_states():
-    res = verify.suite_coherent(samples=100, seed=7)
+    res = verify.run_suite("cs-eigen", samples=100, seed=7)
     gate = [r for r in res.rows if r["case"] == "positivity-gate"][0]
     ok = res.ok and gate["rejected"] == 100
     _report(

@@ -1,6 +1,8 @@
 import json
 
-from bchyper import parse_bicomplex
+import pytest
+
+from bchyper import parse_bicomplex, verify
 from bchyper.cli import main
 
 
@@ -137,6 +139,14 @@ class TestVerify:
         assert code == 0
         (result,) = json.loads(out)["results"]
         assert result["options"] == {"seed": 1, "samples": 2, "nodes": 32}
+
+    def test_suite_options_come_from_the_declarations(self):
+        assert set(verify.SUITES["thm3.1"].defaults) == {"samples", "seed", "tol", "nodes"}
+        with pytest.raises(TypeError):
+            verify.run_suite("thm2.2", samples=1, tol=1e-9)
+        # thm2.2 counts its shape cases and both boundary phases
+        res = verify.run_suite("thm2.2", samples=3, boundary=2, seed=5)
+        assert res.samples == 3 + 2 * 2 == len(res.rows) + res.skipped
 
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(

@@ -40,6 +40,19 @@ class TestParams:
     def test_negative_integer_alpha_allowed(self):
         PfqParams([-3.0], [1.5])  # terminating series are fine
 
+    def test_component_vectors_are_read_only_rows(self):
+        p = PfqParams([from_idempotent(0.5 + 1j, 2.0), 1.5], [from_idempotent(3.0, 1.0 - 1j)])
+        assert p.comp_alphas(1).tolist() == [0.5 + 1j, 1.5]
+        assert p.comp_alphas(2).tolist() == [2.0, 1.5]
+        assert p.comp_betas(2).tolist() == [1.0 - 1j]
+        assert p.comp_alphas(1) is not p.comp_alphas(2)
+        with pytest.raises(ValueError):
+            p.comp_alphas(1)[0] = 0.0
+        # the cached rows take no part in equality and hashing
+        q = PfqParams(p.alphas, p.betas)
+        assert p == q and hash(p) == hash(q)
+        assert PfqParams([], []).comp_alphas(2).shape == (0,)
+
 
 class TestClassify:
     def test_trichotomy(self):

@@ -114,6 +114,13 @@ class TestIdempotentSplit:
         assert abs(back.re1 - z.re1) <= 1e-15 * abs(z.re1)
         assert abs(back.re2 - z.re2) <= 1e-15 * abs(z.re2)
 
+    def test_components_label_and_split_each_value(self):
+        from bchyper.numbers import components
+
+        z = BiComplex(1.3 - 0.4j, 0.2 + 2.1j)
+        assert components(z, I2, 4.0) == ((1, z.idem1, -1j, 4.0), (2, z.idem2, 1j, 4.0))
+        assert components() == ((1,), (2,))
+
 
 class TestInverse:
     def test_one(self):

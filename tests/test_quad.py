@@ -141,6 +141,15 @@ class TestEuler:
 
 
 class TestLaplace:
+    def test_laguerre_rule_built_once_and_read_only(self):
+        import scipy.special
+
+        t, w = quad._laguerre_rule(48)
+        ref_t, ref_w = scipy.special.roots_laguerre(48)
+        assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+        assert quad._laguerre_rule(48)[0] is t
+        assert not t.flags.writeable and not w.flags.writeable
+
     def test_binomial_example(self):
         # (1/Gamma(3)) * integral t^2 e^((Z-1)t) = (1-Z)^(-3)
         rep = laplace_integral(3.0, PfqParams([], []), from_idempotent(0.2, 0.5))
