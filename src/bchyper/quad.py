@@ -18,7 +18,8 @@ q_j at the final nodes, which is Golub-Welsch's v_0^2 / (v . v) for the
 eigenvector v_j = q_j(x).  The rule is exact for polynomials of degree
 2n-1 against the complex weight.  The half line is split at t = 1:
 complex-exponent Jacobi on [0,1] captures the t^(v-1) endpoint,
-ordinary Gauss-Laguerre handles the smooth tail.
+ordinary Gauss-Laguerre, built the same way from its real Jacobi
+matrix, handles the smooth tail.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
-from scipy.special import gamma as _cgamma
 
 from . import hyper, kernels
 from .errors import DomainError, NoConvergenceError, PreconditionError
-from .gamma import complex_pochhammer
+from .gamma import complex_gamma, complex_pochhammer
 from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams
 from .identities import IdentityReport, make_report
 from .numbers import BiComplex, components
@@ -91,13 +90,13 @@ def _newton_ratio(x, diag, sb):
     Runs the orthonormal recurrence sb[j] q_{j+1} = (x - diag[j]) q_j
     - sb[j-1] q_{j-1}, which stays O(1) where the monic p_n underflows
     at large n.  q and q' advance together as the rows of one
-    (2, len(x)) array.  The last step has no sb to divide by; a constant
-    factor cancels in the ratio anyway.
+    (2, len(x)) array, real or complex as x and diag are.  The last step
+    has no sb to divide by; a constant factor cancels in the ratio anyway.
     """
     inv_sb = np.append(1.0 / sb, 1.0)
     scaled = (x[None, :] - diag[:, None]) * inv_sb[:, None]
     shift = np.concatenate(([0.0], sb)) * inv_sb
-    prev = np.zeros((2, len(x)), dtype=np.complex128)
+    prev = np.zeros((2, len(x)), dtype=scaled.dtype)
     cur = np.zeros_like(prev)
     cur[0] = 1.0
     for j in range(len(diag)):
@@ -106,6 +105,24 @@ def _newton_ratio(x, diag, sb):
         nxt -= shift[j] * prev
         prev, cur = cur, nxt
     return cur[0] / cur[1]
+
+
+def _eigenvector_norm(x, diag, sb):
+    """sum_j q_j(x)^2 over the orthonormal polynomials q_0 = 1, ..., q_{n-1}.
+
+    q_j(x) is the eigenvector of the Jacobi matrix for the eigenvalue x,
+    so mu0 / this sum is Golub-Welsch's weight mu0 v_0^2 / (v . v).
+    """
+    q_prev, q = np.zeros_like(x), np.ones_like(x)
+    norm = np.ones_like(x)
+    for j in range(len(diag) - 1):
+        q_next = (x - diag[j]) * q
+        if j > 0:
+            q_next -= sb[j - 1] * q_prev
+        q_next /= sb[j]
+        q_prev, q = q, q_next
+        norm += q * q
+    return norm
 
 
 def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
@@ -119,7 +136,10 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     if alpha.real <= -1.0 or beta.real <= -1.0:
         raise PreconditionError("weight exponents must have real part > -1")
     ab = alpha + beta
-    mu0 = 2.0 ** (ab + 1.0) * _cgamma(alpha + 1.0) * _cgamma(beta + 1.0) / _cgamma(ab + 2.0)
+    mu0 = (
+        2.0 ** (ab + 1.0) * complex_gamma(alpha + 1.0) * complex_gamma(beta + 1.0)
+        / complex_gamma(ab + 2.0)
+    )
     diag, off = _jacobi_coefficients(n, alpha, beta)
     sb = np.sqrt(off)
     # Start from the real rule at (Re A, Re B): eigvalsh reads only the
@@ -148,26 +168,30 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
             f" (last correction {size:.3e})"
         )
     x = np.sort_complex(x)
-    # Golub-Welsch weight mu0 v_0^2 / (v . v) with the eigenvector
-    # v_j = q_j(x), taken at the final nodes.
-    q_prev, q = np.zeros_like(x), np.ones_like(x)
-    norm = np.ones_like(x)
-    for j in range(n - 1):
-        q_next = (x - diag[j]) * q
-        if j > 0:
-            q_next -= sb[j - 1] * q_prev
-        q_next /= sb[j]
-        q_prev, q = q, q_next
-        norm += q * q
     t = (1.0 + x) / 2.0
-    weights = mu0 / norm * 2.0 ** (-(ab + 1.0))
+    weights = mu0 / _eigenvector_norm(x, diag, sb) * 2.0 ** (-(ab + 1.0))
     return t, weights
 
 
 @functools.lru_cache(maxsize=16)
 def _laguerre_rule(n: int):
-    """Gauss-Laguerre nodes and weights, built once per n and read-only."""
-    t, w = scipy.special.roots_laguerre(n)
+    """Gauss-Laguerre nodes and weights for integral_0^inf e^(-t) g(t) dt,
+    built once per n and read-only.
+
+    The Jacobi matrix has diagonal 2k+1 and off-diagonal k, and mu0 = 1.
+    Its eigenvalues (eigvalsh) get one Newton step p_n / p_n' from the
+    orthonormal recurrence; the weights are 1 / sum_j q_j(t)^2 at the
+    polished nodes.
+    """
+    k = np.arange(n, dtype=np.float64)
+    diag = 2.0 * k + 1.0
+    sb = k[1:]
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(sb, -1))
+    t = t - _newton_ratio(t, diag, sb)
+    # From about n = 190 on, the norm at the largest nodes passes the float
+    # range; their weights are then below it and come out as 0.
+    with np.errstate(over="ignore"):
+        w = 1.0 / _eigenvector_norm(t, diag, sb)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
@@ -238,7 +262,9 @@ def euler_integral(
         t, w = jacobi_rule_01(curve.nodes, alphas[0] - 1.0, betas[0] - alphas[0] - 1.0)
         inner = _inner_values(alphas[1:], betas[1:], zc * t)
         integral = np.sum(w * inner)
-        pre = _cgamma(betas[0]) / (_cgamma(alphas[0]) * _cgamma(betas[0] - alphas[0]))
+        pre = complex_gamma(betas[0]) / (
+            complex_gamma(alphas[0]) * complex_gamma(betas[0] - alphas[0])
+        )
         lhs = complex(pre * integral)
         rhs, _, _ = hyper.component_series(alphas, betas, zc)
         sides.append((lhs, rhs))
@@ -291,7 +317,7 @@ def laplace_integral(
             if abs(term) < TAIL_CUTOFF * max(1.0, abs(piece2)):
                 break
         piece2 *= math.exp(-1.0)
-        lhs = complex((piece1 + piece2) / _cgamma(vc))
+        lhs = complex((piece1 + piece2) / complex_gamma(vc))
         rhs, _, _ = hyper.component_series(
             np.concatenate(([vc], alphas)), betas, zc
         )
@@ -333,7 +359,7 @@ def double_integral(
         inner = _inner_values(alphas, betas, args.ravel()).reshape(nn, nn)
         integral = wu @ inner @ wv
         lhs = complex(integral)
-        pre = _cgamma(mc) * _cgamma(nc) / _cgamma(mc + nc + 1.0)
+        pre = complex_gamma(mc) * complex_gamma(nc) / complex_gamma(mc + nc + 1.0)
         rhs_series, _, _ = hyper.component_series(
             np.concatenate((alphas, [1.0 + 0j])),
             np.concatenate((betas, [mc + nc + 1.0])),
@@ -359,8 +385,8 @@ def beta_product_check(m, n, k: int, nodes: int = DEFAULT_NODES, tol: float = 1e
         tv, wv = jacobi_rule_01(nodes, nc - 1.0, float(k))
         lhs = complex(np.sum(wu) * np.sum(wv))
         rhs = complex(
-            _cgamma(mc) * _cgamma(nc) * complex_pochhammer(1.0, k)
-            / (_cgamma(mc + nc + 1.0) * complex_pochhammer(mc + nc + 1.0, k))
+            complex_gamma(mc) * complex_gamma(nc) * complex_pochhammer(1.0, k)
+            / (complex_gamma(mc + nc + 1.0) * complex_pochhammer(mc + nc + 1.0, k))
         )
         sides.append((lhs, rhs))
     return make_report(sides, tol)

@@ -551,8 +551,9 @@ def _positivity_gate(rng, o, case):
             rejected += 1
         except BCHyperError:
             rejected += 1  # rejected for a stricter reason, still rejected
+    # 0 of 0 rejected checked nothing, so it is no pass.
     return _row("positivity-gate", f"{rejected}/{total}", BiComplex(0.0),
-                0.0, 0.0, rejected == total, rejected=rejected)
+                0.0, 0.0, total > 0 and rejected == total, rejected=rejected)
 
 
 # ---------------------------------------------------------------------------

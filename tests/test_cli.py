@@ -108,6 +108,11 @@ class TestVerify:
         assert code == 2
         assert "FAIL" in out
 
+    def test_cs_eigen_with_no_samples_does_not_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "cs-eigen", "--samples", "0")
+        assert code != 0
+        assert "PASS" not in out
+
     def test_unknown_suite_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "thm99")
         assert code == 1

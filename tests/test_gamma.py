@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from bchyper import (
@@ -42,6 +43,27 @@ class TestComplexGamma:
     def test_poles(self, pole):
         with pytest.raises(PoleError):
             complex_gamma(pole)
+
+    def test_against_mpmath_box(self):
+        rng = np.random.default_rng(5311)
+        worst = 0.0
+        for _ in range(3000):
+            w = complex(rng.uniform(-10, 20), rng.uniform(-8, 8))
+            want = complex(mpmath.gamma(w))
+            worst = max(worst, abs(complex_gamma(w) - want) / abs(want))
+        assert worst <= 5e-14
+
+    def test_large_imaginary_part(self):
+        # Any float64 evaluation through exp(log gamma) carries an error
+        # of about |log gamma(w)| ulps in the phase; here |log gamma| is
+        # 1487, so the bound is that many machine epsilons (3.3e-13).
+        w = 0.5 + 300j
+        want = complex(mpmath.gamma(w))
+        bound = float(abs(mpmath.loggamma(w))) * np.finfo(float).eps
+        assert abs(complex_gamma(w) - want) / abs(want) <= bound
+
+    def test_overflow_is_inf(self):
+        assert complex_gamma(200.0) == complex(math.inf)
 
 
 class TestBcGamma:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bchyper import (
@@ -224,15 +224,44 @@ class TestExpAndPow:
         assert_bc_close(bc_pow(z, -2), from_idempotent(0.25, 4.0), 1e-14)
 
 
+# Rounding bound for |((ab)c - a(bc)).idem_s| in units of u S, where
+# u = 2^-53 and S = |a| |b| |c| with |.| = norm2, the Euclidean norm of
+# the cartesian pair (re1, re2).  BiComplex.__mul__ forms
+# (x1, x2)(y1, y2) = (x1 y1 - x2 y2, x2 y1 + x1 y2) from Python complex
+# products, each off by at most sqrt(5) u |x_i| |y_j| (Brent, Percival
+# and Zimmermann, Math. Comp. 76, 2007), and one complex subtraction or
+# addition, off by at most u times its result.  To first order in u:
+# - one product: component errors are at most k u (|x1||y1| + |x2||y2|)
+#   and k u (|x2||y1| + |x1||y2|) with k = 1 + sqrt(5), so the error has
+#   norm at most sqrt(2) k u |x| |y|; the same sum gives |xy| <= sqrt(2)
+#   |x| |y|;
+# - a grouping such as (ab)c: the error of ab, carried through the
+#   product with c, and the error of that product add up to at most
+#   2 sqrt(2) * sqrt(2) k u S = 4 k u S from the exact abc;
+# - the two groupings then differ by at most 8 k u S, and an idempotent
+#   component re1 -+ i re2 is at most sqrt(2) times the norm:
+#   8 sqrt(2) k u S;
+# - forming idem_s of each side rounds once more, by at most u times
+#   |idem_s| <= sqrt(2) |(ab)c| <= 2 sqrt(2) S, for each of the two
+#   sides: 4 sqrt(2) u S.
+# The second-order terms are below 1e-12 of the total.
+MUL_ASSOC_BOUND = (8 * math.sqrt(2) * (1 + math.sqrt(5)) + 4 * math.sqrt(2)) * (1 + 1e-12)
+
+
 class TestRingProperties:
     @settings(max_examples=150, deadline=None)
     @given(bc_values(), bc_values(), bc_values())
+    @example(
+        from_idempotent(2.00001, 0.35968649676506914),
+        from_idempotent(0.5 + 2.296875j, 1),
+        from_idempotent(1.75 + 0.40625j, 0.5),
+    )
     def test_mul_associative(self, a, b, c):
         left = (a * b) * c
         right = a * (b * c)
-        scale = a.norm2() * b.norm2() * c.norm2()
-        assert abs(left.idem1 - right.idem1) <= 8 * np.spacing(scale)
-        assert abs(left.idem2 - right.idem2) <= 8 * np.spacing(scale)
+        bound = MUL_ASSOC_BOUND * 2.0**-53 * a.norm2() * b.norm2() * c.norm2()
+        assert abs(left.idem1 - right.idem1) <= bound
+        assert abs(left.idem2 - right.idem2) <= bound
 
     @settings(max_examples=150, deadline=None)
     @given(bc_values(), bc_values())

@@ -1,3 +1,10 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ from bchyper import (
     from_idempotent,
     laplace_integral,
 )
+import bchyper
 from bchyper import quad
 from bchyper.errors import NoConvergenceError
 from bchyper.gamma import complex_gamma
@@ -142,13 +150,27 @@ class TestEuler:
 
 class TestLaplace:
     def test_laguerre_rule_built_once_and_read_only(self):
-        import scipy.special
+        import scipy.special  # test-only oracle for the nodes
 
         t, w = quad._laguerre_rule(48)
-        ref_t, ref_w = scipy.special.roots_laguerre(48)
-        assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
         assert quad._laguerre_rule(48)[0] is t
         assert not t.flags.writeable and not w.flags.writeable
+        for n in (16, 48, 64, 128):
+            t, w = quad._laguerre_rule(n)
+            ref_t, _ = scipy.special.roots_laguerre(n)
+            assert np.max(np.abs(t - ref_t) / ref_t) <= 1e-13, n
+            # Exact for degree 2n-1 against e^-t: sum w t^k = k!.
+            for k in range(min(2 * n - 1, 40) + 1):
+                moment = math.fsum(w * t**k)
+                assert abs(moment - math.factorial(k)) <= 1e-14 * math.factorial(k), (n, k)
+
+    def test_laguerre_rule_large_n_is_finite_and_quiet(self):
+        # the largest nodes' weights fall below the float range: 0, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, w = quad._laguerre_rule.__wrapped__(256)
+        assert np.all(np.isfinite(t)) and np.all(w >= 0.0)
+        assert abs(math.fsum(w) - 1.0) <= 5e-14
 
     def test_binomial_example(self):
         # (1/Gamma(3)) * integral t^2 e^((Z-1)t) = (1-Z)^(-3)
@@ -269,3 +291,26 @@ class TestCurve:
                 PfqParams([1.0], [3.0]), BiComplex(0.1),
                 ProductCurve(CurveKind.HALF_LINE, 64),
             )
+
+
+class TestRuntimeImports:
+    def test_integrals_and_gamma_run_without_scipy(self):
+        # scipy is a test-only oracle: a fresh interpreter that runs each
+        # integral representation and both gammas must never import it.
+        code = (
+            "import sys; import bchyper as bc; "
+            "from bchyper import BiComplex, PfqParams; "
+            "bc.euler_integral(PfqParams([0.8, 1.4], [2.1]), bc.from_idempotent(0.3, 0.2)); "
+            "bc.laplace_integral(1.5, PfqParams([1.1], [1.8]), BiComplex(0.3, 0.05)); "
+            "bc.double_integral(1.2, 0.7, PfqParams([0.5], [1.5]), BiComplex(0.3)); "
+            "bc.complex_gamma(1.3 + 0.7j); bc.bc_gamma(bc.from_idempotent(1.2, 2.3 + 1j)); "
+            "print('scipy' in sys.modules)"
+        )
+        src = str(Path(bchyper.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
