@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hyper
+from . import hyper, kernels
 from .errors import (
     InvalidParamsError,
     ParamMismatchError,
@@ -122,14 +122,11 @@ def _component_tables(a, b, z, nmax):
     rho[0] = 1.0
     raw[0] = 1.0
     zp = 1.0 + 0.0j
+    real_a, real_b = [x.real for x in a], [x.real for x in b]
     for n in range(nmax):
-        num = n + 1.0
-        for x in b:
-            num *= x.real + n
-        den = 1.0
-        for x in a:
-            den *= x.real + n
-        f2 = num / den
+        # the inverse coefficient ratio on the real parts
+        num, den = kernels.ratio_parts(real_a, real_b, n)
+        f2 = (den / num).real
         if not f2 > 0.0:
             raise PositivityError(
                 f"ladder factor squared is {f2} at level {n}; the parameter"

@@ -360,12 +360,7 @@ def boundary_probe(params: PfqParams, z: BiComplex, cap: int = 20_000, window: i
 
 def ratio_radius_estimate(comp_alphas, comp_betas, n: int) -> float:
     """|a_n / a_{n+1}| term-ratio estimate of the convergence radius."""
-    num = n + 1.0
-    for b in comp_betas:
-        num *= abs(complex(b) + n)
-    den = 1.0
-    for a in comp_alphas:
-        den *= abs(complex(a) + n)
-    if den == 0.0:
-        return math.inf
-    return num / den
+    a = np.asarray(comp_alphas, dtype=np.complex128)
+    b = np.asarray(comp_betas, dtype=np.complex128)
+    r = abs(kernels.term_ratio(a, b, n))
+    return math.inf if r == 0.0 else 1.0 / r

@@ -131,12 +131,7 @@ def quad_even_comp(a, b, z, scale, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
 
 def quad_odd_comp(a, b, z, scale, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     """Component worker: (lhs, rhs) of the odd quadratic transform."""
-    num = 1.0 + 0j
-    for x in a:
-        num *= x
-    den = 1.0 + 0j
-    for x in b:
-        den *= x
+    num, den = kernels.ratio_parts(a, b, 0)  # prod(a), prod(b)
     if abs(den) < NULL_TOL * max(1.0, abs(num)):
         raise NullConeError("odd-transform prefactor divides by a null denominator")
     return _quadratic_comp(a, b, z, scale, 1, 2.0 * z * num / den, tol, cap)
@@ -221,48 +216,25 @@ def _nonpos_int_leq(w: complex, bound: int):
 
 
 def derivative_comp(a, b, z, k, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
-    """(lhs, rhs): term-wise differentiated series against the shifted form."""
+    """(lhs, rhs): term-wise differentiated series against the shifted form.
+
+    The k-th derivative of sum c_n z^n is sum_m c_{k+m} (k+m)!/m! z^m,
+    itself a series: leading term k! c_k, and the ratio of a + k, k + 1
+    over b + k, k + 1 (the pair k+1+m cancels against the (n+1) of the
+    coefficient law).
+    """
     if k == 0:
         v = _F(a, b, z, tol, cap)
         return v, v
-    # advance to coefficient c_k
-    c = 1.0 + 0j
-    for j in range(k):
-        num = 1.0 + 0j
-        for x in a:
-            num *= x + j
-        den = j + 1.0 + 0j
-        for x in b:
-            den *= x + j
-        c *= num / den
-    term = c * math.factorial(k)  # j = k contribution, z^0
-    total = term
-    below = 0
-    m = 0
-    while m < cap:
-        j = k + m
-        num = 1.0 + 0j
-        for x in a:
-            num *= x + j
-        den = j + 1.0 + 0j
-        for x in b:
-            den *= x + j
-        term = term * z * (num / den) * ((j + 1.0) / (m + 1.0))
-        total += term
-        m += 1
-        if abs(term) <= tol * abs(total):
-            below += 1
-            if below >= 3 and m >= hyper.MIN_TERMS:
-                break
-        else:
-            below = 0
+    shifted_a, shifted_b = [x + k for x in a], [x + k for x in b]
+    c_k = coeff_table(np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128), k)[k]
+    lhs = c_k * math.factorial(k) * _F(shifted_a + [k + 1.0], shifted_b + [k + 1.0], z, tol, cap)
     pre = 1.0 + 0j
     for x in a:
         pre *= complex_pochhammer(x, k)
     for x in b:
         pre /= complex_pochhammer(x, k)
-    rhs = pre * _F([x + k for x in a], [x + k for x in b], z, tol, cap)
-    return total, rhs
+    return lhs, pre * _F(shifted_a, shifted_b, z, tol, cap)
 
 
 def derivative_relation(
@@ -419,12 +391,7 @@ def contiguous_beta_minus_comp(a, b, z, m, n, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
 def contiguous_beta_plus_comp(a, b, z, m, n, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     lhs = _F(a, [b[0] + m] + b[1:], z, tol, cap) + _F(a, [b[0] + n] + b[1:], z, tol, cap)
     base = _F(a, b, z, tol, cap)
-    num = 1.0 + 0j
-    for x in a:
-        num *= x
-    tail_den = 1.0 + 0j
-    for x in b[1:]:
-        tail_den *= x
+    num, tail_den = kernels.ratio_parts(a, b[1:], 0)  # prod(a), prod(b[1:])
 
     def one(shift):
         # The proof's recurrence sums from s = 1; the s = 0 term would
@@ -514,17 +481,10 @@ def _ode_component(a, b, z, count):
     res = 0.0 + 0j
     zpow = 1.0 + 0j
     for m in range(count):
-        pb = m + 1.0 + 0j
-        for x in b:
-            pb *= x + m
-        pa = 1.0 + 0j
-        for x in a:
-            pa *= x + m
+        pa, pb = kernels.ratio_parts(a, b, m)
         res += (pb * c[m + 1] - pa * c[m]) * zpow
         zpow *= z
-    pa = 1.0 + 0j
-    for x in a:
-        pa *= x + count
+    pa, _ = kernels.ratio_parts(a, b, count)
     res -= pa * c[count] * zpow
     bound = abs(pa * c[count] * zpow)
     return abs(res), bound

@@ -2,14 +2,28 @@
 
 The classical one-component hypergeometric sum is the inner loop of
 everything in this package (function evaluation, identity suites,
-quadrature integrands).  ``series_sum`` sums one argument;
-``series_sum_many`` advances an array of arguments in lockstep and
-drops each one once it stops.
+quadrature integrands).  Its coefficients obey one law,
+
+    c_0 = 1,   c_{n+1} / c_n = prod(a_i + n) / ((n+1) * prod(b_j + n)),
+
+and ``ratio_parts`` is the one place that writes the two products.
+Every kernel here, and every relation built on the coefficients,
+takes its ratios from it:
+
+- ``series_sum`` sums one argument, ``series_sum_many`` an array of
+  arguments in lockstep; they share the stop rule and the tail
+  majorant ``_tail``;
+- ``series_sum_terminating`` sums a fixed number of terms;
+- ``coeff_table`` and ``term_ratio`` give the coefficients and one
+  ratio;
+- ``window_probe`` takes all ratios at once over an index array.
 
 All kernels take the component parameter vectors as 1-D complex128
-arrays (length 0 is fine), and they all share one term recurrence:
-
-    t_0 = 1,   t_{n+1} = t_n * z * prod(a_i + n) / ((n+1) * prod(b_j + n))
+arrays (length 0 is fine).  The scalar kernels convert them to Python
+complex once per call and take the products in Python complex, which
+rounds like numpy's scalar arithmetic; the ratio itself is a numpy
+division, ``np.complex128(num) / den``, because Python's complex
+division rounds differently.
 
 Status codes: 0 = stop rule met, 1 = cap reached.
 """
@@ -25,47 +39,53 @@ STATUS_OK = 0
 STATUS_CAP = 1
 
 
+def ratio_parts(alphas, betas, n):
+    """(prod(a + n), (n+1) * prod(b + n)): numerator and denominator of
+    c_{n+1} / c_n.  n is a number or a float array."""
+    num = 1.0 + 0.0j
+    for a in alphas:
+        num = num * (a + n)
+    den = n + 1.0 + 0.0j
+    for b in betas:
+        den = den * (b + n)
+    return num, den
+
+
+def _tail(alphas, betas, z, term, n):
+    """Geometric majorant |t_N| r / (1 - r) of the dropped terms, r the
+    modulus of the next term ratio; inf where r >= 1.  z and term are
+    one lane's numbers or arrays of lanes."""
+    num, den = ratio_parts(alphas, betas, n)
+    r = abs(z) * (abs(num) / abs(den))
+    below = r < 1.0
+    # the divisor is 1 where r >= 1, so no lane divides by zero
+    tail = abs(term) * r / (1.0 - r * below)
+    if isinstance(below, bool):  # one lane: np.where would cost as much as several terms
+        return tail if below else np.inf
+    return np.where(below, tail, np.inf)
+
+
 def series_sum(alphas, betas, z, tol, cap, min_terms):
     """Truncated sum of the component series at argument z.
 
     Stops once three consecutive terms fall below tol * |partial sum|
     and at least min_terms terms have been added (a single small term
     can be an accidental zero, not convergence).  Returns
-    (value, terms_used, tail_estimate, status); the tail is the
-    geometric majorant |t_N| * r / (1 - r) built from the next term
-    ratio r.
+    (value, terms_used, tail_estimate, status); the tail is ``_tail``.
     """
-    p = alphas.shape[0]
-    q = betas.shape[0]
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    a, b = alphas.tolist(), betas.tolist()
+    total = term = 1.0 + 0.0j
     below = 0
     n = 0
     while n < cap:
-        num = 1.0 + 0.0j
-        for i in range(p):
-            num = num * (alphas[i] + n)
-        den = n + 1.0 + 0.0j
-        for j in range(q):
-            den = den * (betas[j] + n)
-        term = term * (z * (num / den))
+        num, den = ratio_parts(a, b, n)
+        term = term * (z * (np.complex128(num) / den))
         total = total + term
         n += 1
         if abs(term) <= tol * abs(total):
             below += 1
             if below >= 3 and n >= min_terms:
-                rnum = 1.0
-                for i in range(p):
-                    rnum = rnum * abs(alphas[i] + n)
-                rden = n + 1.0
-                for j in range(q):
-                    rden = rden * abs(betas[j] + n)
-                r = abs(z) * rnum / rden
-                if r < 1.0:
-                    tail = abs(term) * r / (1.0 - r)
-                else:
-                    tail = np.inf
-                return total, n + 1, tail, STATUS_OK
+                return total, n + 1, float(_tail(a, b, z, term, n)), STATUS_OK
         else:
             below = 0
     return total, n + 1, np.inf, STATUS_CAP
@@ -73,38 +93,23 @@ def series_sum(alphas, betas, z, tol, cap, min_terms):
 
 def series_sum_terminating(alphas, betas, z, last_n):
     """Exact sum of a terminating series: terms n = 0 .. last_n inclusive."""
-    p = alphas.shape[0]
-    q = betas.shape[0]
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    a, b = alphas.tolist(), betas.tolist()
+    total = term = 1.0 + 0.0j
     for n in range(last_n):
-        num = 1.0 + 0.0j
-        for i in range(p):
-            num = num * (alphas[i] + n)
-        den = n + 1.0 + 0.0j
-        for j in range(q):
-            den = den * (betas[j] + n)
-        term = term * (z * (num / den))
+        num, den = ratio_parts(a, b, n)
+        term = term * (z * (np.complex128(num) / den))
         total = total + term
     return total
 
 
 def coeff_table(alphas, betas, count):
     """Series coefficients c_0 .. c_count via the term-ratio recurrence."""
-    p = alphas.shape[0]
-    q = betas.shape[0]
+    a, b = alphas.tolist(), betas.tolist()
     out = np.empty(count + 1, dtype=np.complex128)
-    c = 1.0 + 0.0j
-    out[0] = c
+    c = out[0] = 1.0 + 0.0j
     for n in range(count):
-        num = 1.0 + 0.0j
-        for i in range(p):
-            num = num * (alphas[i] + n)
-        den = n + 1.0 + 0.0j
-        for j in range(q):
-            den = den * (betas[j] + n)
-        c = c * (num / den)
-        out[n + 1] = c
+        num, den = ratio_parts(a, b, n)
+        c = out[n + 1] = c * (np.complex128(num) / den)
     return out
 
 
@@ -117,19 +122,14 @@ def pochhammer(a, n):
 
 
 def term_ratio(alphas, betas, n):
-    """One-step coefficient ratio c_{n+1} / c_n = prod(a+n) / ((n+1) prod(b+n)).
+    """One-step coefficient ratio c_{n+1} / c_n.
 
     Exposed so ``identities.coefficient_recurrence_ulps`` checks the
     table against the same arithmetic that ``coeff_table`` used to
     build it, operation for operation.
     """
-    num = 1.0 + 0.0j
-    for i in range(alphas.shape[0]):
-        num = num * (alphas[i] + n)
-    den = n + 1.0 + 0.0j
-    for j in range(betas.shape[0]):
-        den = den * (betas[j] + n)
-    return num / den
+    num, den = ratio_parts(alphas.tolist(), betas.tolist(), n)
+    return np.complex128(num) / den
 
 
 def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
@@ -140,6 +140,7 @@ def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
     the stop rule has its results written out and is dropped, so later
     steps cost only what is still running.
     """
+    a, b = alphas.tolist(), betas.tolist()
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     m = zs.shape[0]
     values = np.empty(m, dtype=np.complex128)
@@ -154,13 +155,8 @@ def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
     below = np.zeros(m, dtype=np.int64)
     n = 0
     while n < cap and live.size:
-        num = 1.0 + 0.0j
-        for a in alphas:
-            num = num * (a + n)
-        den = n + 1.0 + 0.0j
-        for b in betas:
-            den = den * (b + n)
-        term = term * (z * (num / den))
+        num, den = ratio_parts(a, b, n)
+        term = term * (z * (np.complex128(num) / den))
         total = total + term
         n += 1
         small = np.abs(term) <= tol * np.abs(total)
@@ -169,17 +165,10 @@ def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
             continue
         done = below >= 3
         if done.any():
-            rnum = 1.0
-            for a in alphas:
-                rnum = rnum * abs(a + n)
-            rden = n + 1.0
-            for b in betas:
-                rden = rden * abs(b + n)
-            r = np.abs(z[done]) * rnum / rden
             out = live[done]
             values[out] = total[done]
             counts[out] = n + 1
-            tails[out] = np.where(r < 1.0, np.abs(term[done]) * r / (1.0 - r), np.inf)
+            tails[out] = _tail(a, b, z[done], term[done], n)
             statuses[out] = STATUS_OK
             keep = ~done
             live, z, term, total, below = live[keep], z[keep], term[keep], total[keep], below[keep]
@@ -197,13 +186,7 @@ def window_probe(alphas, betas, z, cap, window):
     max_j |S_cap - S_j| over the window.  Nonfinite growth reports
     (inf, inf, False).
     """
-    n = np.arange(cap, dtype=np.float64)
-    num = np.ones(cap, dtype=np.complex128)
-    for a in alphas:
-        num = num * (a + n)
-    den = (n + 1.0).astype(np.complex128)
-    for b in betas:
-        den = den * (b + n)
+    num, den = ratio_parts(alphas, betas, np.arange(cap, dtype=np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = z * num / den
         terms = np.cumprod(ratios)

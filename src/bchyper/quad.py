@@ -187,11 +187,16 @@ def _laguerre_rule(n: int):
     diag = 2.0 * k + 1.0
     sb = k[1:]
     t = np.linalg.eigvalsh(np.diag(diag) + np.diag(sb, -1))
-    t = t - _newton_ratio(t, diag, sb)
     # From about n = 190 on, the norm at the largest nodes passes the float
-    # range; their weights are then below it and come out as 0.
-    with np.errstate(over="ignore"):
-        w = 1.0 / _eigenvector_norm(t, diag, sb)
+    # range; their weights are then below it and come out as 0.  From about
+    # n = 400 on, q_n and q_n' overflow there too, and those nodes keep
+    # their eigvalsh value instead of taking the inf/inf step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _newton_ratio(t, diag, sb)
+        t = np.where(np.isfinite(step), t - step, t)
+        norm = _eigenvector_norm(t, diag, sb)
+        # an overflowed q_j makes the norm inf, or nan once inf - inf occurs
+        w = np.where(np.isnan(norm), 0.0, 1.0 / norm)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w

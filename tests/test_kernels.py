@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -92,6 +94,38 @@ class TestCoeffTable:
         for n in (0, 7, 23, 49):
             ratio = kernels.term_ratio(GAUSS_A, GAUSS_B, float(n))
             assert abs(c[n + 1] - c[n] * ratio) <= 2 * np.spacing(abs(c[n + 1]))
+
+
+class TestPinnedBits:
+    """The scalar kernels' exact output on fixed inputs.
+
+    ``data/kernel_bits.json`` holds, as ``float.hex``, each case's
+    ``series_sum`` value with its term count and status, the 13-term
+    ``series_sum_terminating`` sum and ``coeff_table(..., 30)``, recorded
+    before the kernels shared ``ratio_parts``.  Any change to the order
+    or kind of rounding in the recurrence shows here first.
+    """
+
+    CASES = json.loads((Path(__file__).parent / "data" / "kernel_bits.json").read_text())
+
+    @staticmethod
+    def _hex(v):
+        v = complex(v)
+        return [v.real.hex(), v.imag.hex()]
+
+    def test_scalar_kernels_keep_their_bits(self):
+        assert len(self.CASES) == 7
+        for i, case in enumerate(self.CASES):
+            a, b = (np.array([complex(*x) for x in case[k]], dtype=np.complex128)
+                    for k in ("alphas", "betas"))
+            z = complex(*case["z"])
+            v, n, _, status = kernels.series_sum(a, b, z, 1e-15, 10_000, 8)
+            got = {"value": self._hex(v), "terms": n, "status": status}
+            assert got == case["series_sum"], i
+            got = self._hex(kernels.series_sum_terminating(a, b, z, 12))
+            assert got == case["series_sum_terminating_12"], i
+            got = [self._hex(c) for c in kernels.coeff_table(a, b, 30)]
+            assert got == case["coeff_table_30"], i
 
 
 class TestWindowProbe:

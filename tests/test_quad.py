@@ -172,6 +172,19 @@ class TestLaplace:
         assert np.all(np.isfinite(t)) and np.all(w >= 0.0)
         assert abs(math.fsum(w) - 1.0) <= 5e-14
 
+    def test_laguerre_rule_overflowing_newton_step_is_finite(self):
+        # from about n = 400, q_n and q_n' overflow at the largest nodes;
+        # those keep their eigvalsh start and get weight 0
+        for n in (400, 512):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t, w = quad._laguerre_rule.__wrapped__(n)
+            assert np.all(np.isfinite(t)) and np.all(np.isfinite(w)), n
+            assert np.all(w >= 0.0), n
+            for k in range(41):
+                moment = math.fsum(w * t**k)
+                assert abs(moment - math.factorial(k)) <= 5e-14 * math.factorial(k), (n, k)
+
     def test_binomial_example(self):
         # (1/Gamma(3)) * integral t^2 e^((Z-1)t) = (1-Z)^(-3)
         rep = laplace_integral(3.0, PfqParams([], []), from_idempotent(0.2, 0.5))
