@@ -28,6 +28,8 @@ MIN_TERMS = 8
 BOUNDARY_BAND = 1e-12
 # Eq-margin needed before a boundary evaluation is allowed.
 BOUNDARY_MARGIN = 1e-9
+# Trailing terms over which boundary_probe takes its Cauchy delta.
+PROBE_WINDOW = 100
 
 
 class ConvergenceKind(enum.Enum):
@@ -228,26 +230,16 @@ def pfq(
     Raises DomainError outside the convergence region of the parameter
     class (boundary points need the convergence inequality to hold
     with margin) and NoConvergenceError when the term cap is hit.
-    Terminating components are exempt from the region check.
+    Terminating components are exempt from the region check.  Both
+    components are gated before either is summed.
     """
     z = BiComplex.coerce(z)
-    cls = classify(params)
-    values = []
-    terms = []
-    tails = []
-    for s, zc in components(z):
-        a = params.comp_alphas(s)
-        b = params.comp_betas(s)
-        if termination_index(a) is None:
-            _check_component_domain(cls.kind, abs(zc), cls.margin, str(s))
-        v, n, t = component_series(a, b, zc, tol, cap)
-        values.append(v)
-        terms.append(n)
-        tails.append(t)
+    cls = check_domain(params, z)
+    (v1, n1, t1), (v2, n2, t2) = per_component(component_series, params, z, tol, cap)
     return SeriesEval(
-        value=BiComplex.from_idempotent(values[0], values[1]),
-        terms_used=(terms[0], terms[1]),
-        tail_bound=Hyperbolic.from_idempotent(tails[0], tails[1]),
+        value=BiComplex.from_idempotent(v1, v2),
+        terms_used=(n1, n2),
+        tail_bound=Hyperbolic.from_idempotent(t1, t2),
         cls=cls,
     )
 
@@ -256,8 +248,9 @@ def pfq_value(params, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> BiComplex:
     return pfq(params, z, tol, cap).value
 
 
-def check_domain(params: PfqParams, z: BiComplex):
-    """Raise DomainError when z lies outside the region for these parameters.
+def check_domain(params: PfqParams, z: BiComplex) -> ConvergenceClass:
+    """Raise DomainError when z lies outside the region for these
+    parameters; return their ``classify`` class otherwise.
 
     Terminating components (polynomial case) are exempt.
     """
@@ -266,28 +259,20 @@ def check_domain(params: PfqParams, z: BiComplex):
     for s, zc in components(z):
         if termination_index(params.comp_alphas(s)) is None:
             _check_component_domain(cls.kind, abs(zc), cls.margin, str(s))
+    return cls
 
 
-def pfq_components(
-    params: PfqParams,
-    z: BiComplex,
-    tol: float = DEFAULT_TOL,
-    cap: int = DEFAULT_CAP,
-    gate: bool = True,
-):
+def pfq_components(params: PfqParams, z: BiComplex):
     """The two raw component sums (z1-side, z2-side) without gluing.
 
-    Identity and quadrature code work componentwise and glue once at
-    the end, so each bicomplex relation is literally two classical
-    relations.
+    The same gate and sums as ``pfq``: ``check_domain`` on both
+    components, then ``per_component(component_series, ...)``, of
+    which only the values are kept (``pfq`` also returns the term
+    counts and tail bounds).
     """
     z = BiComplex.coerce(z)
-    if gate:
-        check_domain(params, z)
-    return tuple(
-        component_series(params.comp_alphas(s), params.comp_betas(s), zc, tol, cap)[0]
-        for s, zc in components(z)
-    )
+    check_domain(params, z)
+    return tuple(value for value, _, _ in per_component(component_series, params, z))
 
 
 def hyp1f1(a, b, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> BiComplex:
@@ -346,16 +331,14 @@ def oracle_pfq_complex(
     raise NoConvergenceError(f"oracle series did not converge within {cap} terms")
 
 
-def boundary_probe(params: PfqParams, z: BiComplex, cap: int = 20_000, window: int = 100):
-    """Cauchy deltas of the two component partial sums over a trailing window.
+def boundary_probe(params: PfqParams, z: BiComplex, cap: int = 20_000):
+    """Cauchy deltas of the two component partial sums over a trailing
+    window of PROBE_WINDOW terms.
 
     Returns ((delta1, maxterm1, finite1), (delta2, maxterm2, finite2)).
     """
     z = BiComplex.coerce(z)
-    return tuple(
-        kernels.window_probe(params.comp_alphas(s), params.comp_betas(s), zc, cap, window)
-        for s, zc in components(z)
-    )
+    return tuple(per_component(kernels.window_probe, params, z, cap, PROBE_WINDOW))
 
 
 def ratio_radius_estimate(comp_alphas, comp_betas, n: int) -> float:

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hyper
+from . import hyper, kernels
 from .errors import InvalidParamsError, NullConeError, PoleError
-from .gamma import complex_pochhammer
-from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams, per_component
-from . import kernels
+from .gamma import complex_pochhammer, nearest_nonpositive_int
+from .hyper import PfqParams, per_component
 from .kernels import coeff_table
 from .numbers import NULL_TOL, BiComplex, Hyperbolic, components
 
@@ -84,16 +83,9 @@ def make_report(sides, tol) -> IdentityReport:
     )
 
 
-def _F(alphas, betas, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> complex:
+def _F(alphas, betas, z) -> complex:
     """Classical component sum, no domain gate (callers gate)."""
-    value, _, _ = hyper.component_series(
-        np.array(alphas, dtype=np.complex128),
-        np.array(betas, dtype=np.complex128),
-        z,
-        tol,
-        cap,
-    )
-    return value
+    return hyper.component_series(alphas, betas, z)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -113,28 +105,28 @@ def _halved_shape(params: PfqParams, offset: int) -> PfqParams:
     )
 
 
-def _quadratic_comp(a, b, z, scale, offset, pre, tol, cap):
+def _quadratic_comp(a, b, z, scale, offset, pre):
     """(lhs, rhs) of a component quadratic transform: pre times the
     halved-shape series at z^2 / scale against F(z) + F(-z) (offset 0)
     or F(z) - F(-z) (offset 1)."""
     ha = [(x + k) / 2 for k in (offset, offset + 1) for x in a]
     hb = [offset + 0.5 + 0j] + [(x + k) / 2 for k in (offset, offset + 1) for x in b]
-    lhs = pre * _F(ha, hb, z * z / scale, tol, cap)
-    plus, minus = _F(a, b, z, tol, cap), _F(a, b, -z, tol, cap)
+    lhs = pre * _F(ha, hb, z * z / scale)
+    plus, minus = _F(a, b, z), _F(a, b, -z)
     return lhs, (plus - minus if offset else plus + minus)
 
 
-def quad_even_comp(a, b, z, scale, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
+def quad_even_comp(a, b, z, scale):
     """Component worker: (lhs, rhs) of the even quadratic transform."""
-    return _quadratic_comp(a, b, z, scale, 0, 2.0, tol, cap)
+    return _quadratic_comp(a, b, z, scale, 0, 2.0)
 
 
-def quad_odd_comp(a, b, z, scale, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
+def quad_odd_comp(a, b, z, scale):
     """Component worker: (lhs, rhs) of the odd quadratic transform."""
     num, den = kernels.ratio_parts(a, b, 0)  # prod(a), prod(b)
     if abs(den) < NULL_TOL * max(1.0, abs(num)):
         raise NullConeError("odd-transform prefactor divides by a null denominator")
-    return _quadratic_comp(a, b, z, scale, 1, 2.0 * z * num / den, tol, cap)
+    return _quadratic_comp(a, b, z, scale, 1, 2.0 * z * num / den)
 
 
 def _quadratic(params, z, tol, offset, worker) -> IdentityReport:
@@ -167,10 +159,10 @@ def quad_odd(
 # ---------------------------------------------------------------------------
 
 
-def saalschutz_comp(n, a1, a2, b, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
+def saalschutz_comp(n, a1, a2, b):
     """Component worker for the balanced terminating 3F2(1) closed form."""
     b2 = 1.0 - b + a1 + a2 - n
-    lhs = _F([complex(-n), a1, a2], [b, b2], 1.0 + 0j, tol, cap)
+    lhs = _F([complex(-n), a1, a2], [b, b2], 1.0 + 0j)
     denom_poch = (complex_pochhammer(b, n), complex_pochhammer(b - a1 - a2, n))
     for dp in denom_poch:
         if abs(dp) < NULL_TOL:
@@ -202,8 +194,6 @@ def saalschutz(
 
 def _nonpos_int_leq(w: complex, bound: int):
     """n >= 0 with w ~ -n and n <= bound, else None."""
-    from .gamma import nearest_nonpositive_int
-
     n = nearest_nonpositive_int(w)
     if n is not None and n <= bound:
         return n
@@ -215,7 +205,7 @@ def _nonpos_int_leq(w: complex, bound: int):
 # ---------------------------------------------------------------------------
 
 
-def derivative_comp(a, b, z, k, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
+def derivative_comp(a, b, z, k):
     """(lhs, rhs): term-wise differentiated series against the shifted form.
 
     The k-th derivative of sum c_n z^n is sum_m c_{k+m} (k+m)!/m! z^m,
@@ -224,17 +214,17 @@ def derivative_comp(a, b, z, k, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
     coefficient law).
     """
     if k == 0:
-        v = _F(a, b, z, tol, cap)
+        v = _F(a, b, z)
         return v, v
     shifted_a, shifted_b = [x + k for x in a], [x + k for x in b]
     c_k = coeff_table(np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128), k)[k]
-    lhs = c_k * math.factorial(k) * _F(shifted_a + [k + 1.0], shifted_b + [k + 1.0], z, tol, cap)
+    lhs = c_k * math.factorial(k) * _F(shifted_a + [k + 1.0], shifted_b + [k + 1.0], z)
     pre = 1.0 + 0j
     for x in a:
         pre *= complex_pochhammer(x, k)
     for x in b:
         pre /= complex_pochhammer(x, k)
-    return lhs, pre * _F(shifted_a, shifted_b, z, tol, cap)
+    return lhs, pre * _F(shifted_a, shifted_b, z)
 
 
 def derivative_relation(
@@ -249,6 +239,15 @@ def derivative_relation(
     hyper.check_domain(params, z)
     hyper.check_domain(shifted, z)
     return make_report(per_component(derivative_comp, params, z, k), tol)
+
+
+def _replaced(params: PfqParams, which: str, index: int, value) -> PfqParams:
+    """params with parameter `index` of `which` ("alphas" or "betas")
+    replaced by value."""
+    vectors = {"alphas": params.alphas, "betas": params.betas}
+    moved = list(vectors[which])
+    moved[index] = value
+    return PfqParams(**{**vectors, which: moved})
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +282,15 @@ def cauchy_riemann_check(
             v = hyper.pfq_value(params, w)
             return v.re1, v.re2
     elif wrt in ("alpha", "beta"):
-        source = params.alphas if wrt == "alpha" else params.betas
+        which = wrt + "s"
+        source = getattr(params, which)
         if not 0 <= index < len(source):
             raise ValueError(f"no {wrt} parameter with index {index}")
 
         def parts(du, dv):
             target = source[index]
             moved = BiComplex(target.re1 + du, target.re2 + dv)
-            if wrt == "alpha":
-                new = PfqParams(
-                    [moved if i == index else a for i, a in enumerate(params.alphas)],
-                    params.betas,
-                )
-            else:
-                new = PfqParams(
-                    params.alphas,
-                    [moved if j == index else b for j, b in enumerate(params.betas)],
-                )
-            v = hyper.pfq_value(new, z)
+            v = hyper.pfq_value(_replaced(params, which, index, moved), z)
             return v.re1, v.re2
     else:
         raise ValueError(f"unknown differentiation target {wrt!r}")
@@ -337,60 +327,46 @@ def _poch_ratio_products(a, b, s):
     return num / den
 
 
-def contiguous_alpha_plus_comp(a, b, z, m, n, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
-    lhs = _F([a[0] + m] + a[1:], b, z, tol, cap) + _F([a[0] + n] + a[1:], b, z, tol, cap)
-
-    def one(shift):
-        acc = 0.0 + 0j
-        for s in range(shift + 1):
-            gr = complex_pochhammer(a[0], s)
-            if abs(gr) < NULL_TOL:
-                raise PoleError("gamma-ratio prefactor hits a pole")
-            weight = math.comb(shift, s) / gr * _poch_ratio_products(a, b, s)
-            acc += weight * z**s * _F(
-                [x + s for x in a], [x + s for x in b], z, tol, cap
-            )
-        return acc
-
-    return lhs, one(m) + one(n)
+def _binomial_sum(a, b, z, shift, base):
+    """sum_s C(shift, s) / (base)_s * prod (a)_s / prod (b)_s * z^s
+    * F(a + s; b + s; z), the right side shared by the alpha-plus and
+    beta-minus relations for one shift."""
+    acc = 0.0 + 0j
+    for s in range(shift + 1):
+        gr = complex_pochhammer(base, s)
+        if abs(gr) < NULL_TOL:
+            raise PoleError("gamma-ratio prefactor hits a pole")
+        weight = math.comb(shift, s) / gr * _poch_ratio_products(a, b, s)
+        acc += weight * z**s * _F([x + s for x in a], [x + s for x in b], z)
+    return acc
 
 
-def contiguous_alpha_minus_comp(a, b, z, m, n, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
-    lhs = _F([a[0] - m] + a[1:], b, z, tol, cap) + _F([a[0] - n] + a[1:], b, z, tol, cap)
+def contiguous_alpha_plus_comp(a, b, z, m, n):
+    lhs = _F([a[0] + m] + a[1:], b, z) + _F([a[0] + n] + a[1:], b, z)
+    return lhs, _binomial_sum(a, b, z, m, a[0]) + _binomial_sum(a, b, z, n, a[0])
+
+
+def contiguous_alpha_minus_comp(a, b, z, m, n):
+    lhs = _F([a[0] - m] + a[1:], b, z) + _F([a[0] - n] + a[1:], b, z)
 
     def one(shift):
         acc = 0.0 + 0j
         for s in range(shift + 1):
             weight = math.comb(shift, s) * _poch_ratio_products(a[1:], b, s)
-            acc += weight * (-z) ** s * _F(
-                [a[0]] + [x + s for x in a[1:]], [x + s for x in b], z, tol, cap
-            )
+            acc += weight * (-z) ** s * _F([a[0]] + [x + s for x in a[1:]], [x + s for x in b], z)
         return acc
 
     return lhs, one(m) + one(n)
 
 
-def contiguous_beta_minus_comp(a, b, z, m, n, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
-    lhs = _F(a, [b[0] - m] + b[1:], z, tol, cap) + _F(a, [b[0] - n] + b[1:], z, tol, cap)
-
-    def one(shift):
-        acc = 0.0 + 0j
-        for s in range(shift + 1):
-            gr = complex_pochhammer(b[0] - shift, s)
-            if abs(gr) < NULL_TOL:
-                raise PoleError("gamma-ratio prefactor hits a pole")
-            weight = math.comb(shift, s) / gr * _poch_ratio_products(a, b, s)
-            acc += weight * z**s * _F(
-                [x + s for x in a], [x + s for x in b], z, tol, cap
-            )
-        return acc
-
-    return lhs, one(m) + one(n)
+def contiguous_beta_minus_comp(a, b, z, m, n):
+    lhs = _F(a, [b[0] - m] + b[1:], z) + _F(a, [b[0] - n] + b[1:], z)
+    return lhs, _binomial_sum(a, b, z, m, b[0] - m) + _binomial_sum(a, b, z, n, b[0] - n)
 
 
-def contiguous_beta_plus_comp(a, b, z, m, n, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
-    lhs = _F(a, [b[0] + m] + b[1:], z, tol, cap) + _F(a, [b[0] + n] + b[1:], z, tol, cap)
-    base = _F(a, b, z, tol, cap)
+def contiguous_beta_plus_comp(a, b, z, m, n):
+    lhs = _F(a, [b[0] + m] + b[1:], z) + _F(a, [b[0] + n] + b[1:], z)
+    base = _F(a, b, z)
     num, tail_den = kernels.ratio_parts(a, b[1:], 0)  # prod(a), prod(b[1:])
 
     def one(shift):
@@ -401,13 +377,7 @@ def contiguous_beta_plus_comp(a, b, z, m, n, tol=DEFAULT_TOL, cap=DEFAULT_CAP):
             den = (b[0] + s - 1.0) * (b[0] + s) * tail_den
             if abs(den) < NULL_TOL * max(1.0, abs(num)):
                 raise NullConeError("beta-shift denominator vanishes")
-            acc += (num / den) * _F(
-                [x + 1 for x in a],
-                [b[0] + s + 1] + [x + 1 for x in b[1:]],
-                z,
-                tol,
-                cap,
-            )
+            acc += (num / den) * _F([x + 1 for x in a], [b[0] + s + 1] + [x + 1 for x in b[1:]], z)
         return acc
 
     rhs = 2.0 * base - z * one(m) - z * one(n)
@@ -424,11 +394,10 @@ def _contiguous(params, z, shift, tol, worker, which, sign):
     if not first:
         raise InvalidParamsError(f"relation needs at least one {_KIND[which]} parameter")
     z = BiComplex.coerce(z)
-    vectors = {"alphas": params.alphas, "betas": params.betas}
     moved = []
     for m in (shift, shift.conj):
         delta = m.to_bicomplex() if sign > 0 else -m.to_bicomplex()
-        moved.append(PfqParams(**{**vectors, which: [first[0] + delta, *first[1:]]}))
+        moved.append(_replaced(params, which, 0, first[0] + delta))
     for shifted in moved:
         hyper.check_domain(shifted, z)
     hyper.check_domain(params, z)

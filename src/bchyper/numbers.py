@@ -465,8 +465,11 @@ _INNER_RE = re.compile(r"^([+-]?)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?(i1)?$")
 
 def _parse_inner_complex(s: str) -> complex:
     """Parse a complex-in-i1 literal like 0.3+0.1i1 or -i1."""
+    terms = _split_terms(s)
+    if not terms:
+        raise ValueError("empty parentheses in complex literal")
     total = 0j
-    for term in _split_terms(s):
+    for term in terms:
         m = _INNER_RE.match(term.strip())
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"bad complex literal {s!r}")
@@ -497,6 +500,8 @@ def parse_bicomplex(text: str) -> BiComplex:
                 t = t[: -len(u)]
                 break
         if t == "":
+            if unit is None:
+                raise ValueError(f"term {term!r} has neither a number nor a unit")
             coeff = 1.0 + 0j
         elif t.startswith("(") and t.endswith(")"):
             coeff = _parse_inner_complex(t[1:-1])

@@ -20,6 +20,12 @@ eigenvector v_j = q_j(x).  The rule is exact for polynomials of degree
 complex-exponent Jacobi on [0,1] captures the t^(v-1) endpoint,
 ordinary Gauss-Laguerre, built the same way from its real Jacobi
 matrix, handles the smooth tail.
+
+Each representation is a classical component worker (``_euler_comp``,
+``_laplace_comp``, ``_double_comp``) returning (quadrature, series) for
+one component; ``hyper.per_component`` runs it on both components and
+``identities.make_report`` glues the pairs, as for every relation in
+``identities``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from . import hyper, kernels
 from .errors import DomainError, NoConvergenceError, PreconditionError
 from .gamma import complex_gamma, complex_pochhammer
-from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams
+from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams, per_component
 from .identities import IdentityReport, make_report
 from .numbers import BiComplex, components
 
@@ -236,6 +242,14 @@ def _inner_values(comp_alphas, comp_betas, args):
     return values
 
 
+def _euler_comp(a, b, z, nodes):
+    """Component worker: (beta-kernel quadrature, series) at z."""
+    t, w = jacobi_rule_01(nodes, a[0] - 1.0, b[0] - a[0] - 1.0)
+    integral = np.sum(w * _inner_values(a[1:], b[1:], z * t))
+    pre = complex_gamma(b[0]) / (complex_gamma(a[0]) * complex_gamma(b[0] - a[0]))
+    return complex(pre * integral), hyper.component_series(a, b, z)[0]
+
+
 def euler_integral(
     params: PfqParams,
     z: BiComplex,
@@ -260,20 +274,28 @@ def euler_integral(
     _positive_components(b1 - a1, "beta[0] - alpha[0]")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    sides = []
-    for s, zc in components(z):
-        alphas = params.comp_alphas(s)
-        betas = params.comp_betas(s)
-        t, w = jacobi_rule_01(curve.nodes, alphas[0] - 1.0, betas[0] - alphas[0] - 1.0)
-        inner = _inner_values(alphas[1:], betas[1:], zc * t)
-        integral = np.sum(w * inner)
-        pre = complex_gamma(betas[0]) / (
-            complex_gamma(alphas[0]) * complex_gamma(betas[0] - alphas[0])
-        )
-        lhs = complex(pre * integral)
-        rhs, _, _ = hyper.component_series(alphas, betas, zc)
-        sides.append((lhs, rhs))
-    return make_report(sides, tol)
+    return make_report(per_component(_euler_comp, params, z, curve.nodes), tol)
+
+
+def _laplace_comp(a, b, z, v, nodes):
+    """Component worker: (exponential-kernel quadrature, series) at z."""
+    # [0, 1]: the complex-exponent endpoint is part of the weight.
+    t1, w1 = jacobi_rule_01(nodes, v - 1.0, 0.0)
+    piece1 = np.sum(w1 * np.exp(-t1) * _inner_values(a, b, z * t1))
+    # [1, inf): smooth integrand, plain Gauss-Laguerre after t = 1 + u,
+    # truncated once the weighted terms stop mattering.
+    piece2 = 0.0 + 0.0j
+    for u, wl in zip(*_laguerre_rule(nodes)):
+        t = 1.0 + u
+        if z.real * t > 700.0:
+            break
+        term = wl * t ** (v - 1.0) * hyper.component_series(a, b, z * t)[0]
+        piece2 += term
+        if abs(term) < TAIL_CUTOFF * max(1.0, abs(piece2)):
+            break
+    piece2 *= math.exp(-1.0)
+    lhs = complex((piece1 + piece2) / complex_gamma(v))
+    return lhs, hyper.component_series([v] + a, b, z)[0]
 
 
 def laplace_integral(
@@ -299,35 +321,19 @@ def laplace_integral(
     _positive_components(v, "v")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    n = curve.nodes
-    lag_t, lag_w = _laguerre_rule(n)
-    sides = []
-    for s, zc, vc in components(z, v):
-        alphas = params.comp_alphas(s)
-        betas = params.comp_betas(s)
-        # [0, 1]: the complex-exponent endpoint is part of the weight.
-        t1, w1 = jacobi_rule_01(n, vc - 1.0, 0.0)
-        inner1 = _inner_values(alphas, betas, zc * t1)
-        piece1 = np.sum(w1 * np.exp(-t1) * inner1)
-        # [1, inf): smooth integrand, plain Gauss-Laguerre after t = 1 + u,
-        # truncated once the weighted terms stop mattering.
-        piece2 = 0.0 + 0.0j
-        for u, wl in zip(lag_t, lag_w):
-            t = 1.0 + u
-            if zc.real * t > 700.0:
-                break
-            inner, _, _ = hyper.component_series(alphas, betas, zc * t)
-            term = wl * t ** (vc - 1.0) * inner
-            piece2 += term
-            if abs(term) < TAIL_CUTOFF * max(1.0, abs(piece2)):
-                break
-        piece2 *= math.exp(-1.0)
-        lhs = complex((piece1 + piece2) / complex_gamma(vc))
-        rhs, _, _ = hyper.component_series(
-            np.concatenate(([vc], alphas)), betas, zc
-        )
-        sides.append((lhs, rhs))
-    return make_report(sides, tol)
+    return make_report(per_component(_laplace_comp, params, z, v, curve.nodes), tol)
+
+
+def _double_comp(a, b, z, m, n, nodes):
+    """Component worker: (unit-square quadrature, series) at z."""
+    tu, wu = jacobi_rule_01(nodes, m - 1.0, n)  # weight u^(m-1) (1-u)^n
+    tv, wv = jacobi_rule_01(nodes, n - 1.0, 0.0)  # weight v^(n-1)
+    args = ((1.0 - tu)[:, None] * (1.0 - tv)[None, :]) * z
+    inner = _inner_values(a, b, args.ravel()).reshape(nodes, nodes)
+    lhs = complex(wu @ inner @ wv)
+    pre = complex_gamma(m) * complex_gamma(n) / complex_gamma(m + n + 1.0)
+    series = hyper.component_series(a + [1.0 + 0j], b + [m + n + 1.0], z)[0]
+    return lhs, complex(pre * series)
 
 
 def double_integral(
@@ -353,26 +359,7 @@ def double_integral(
     _positive_components(n, "n")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    nn = curve.nodes
-    sides = []
-    for s, zc, mc, nc in components(z, m, n):
-        alphas = params.comp_alphas(s)
-        betas = params.comp_betas(s)
-        tu, wu = jacobi_rule_01(nn, mc - 1.0, nc)  # weight u^(m-1) (1-u)^n
-        tv, wv = jacobi_rule_01(nn, nc - 1.0, 0.0)  # weight v^(n-1)
-        args = ((1.0 - tu)[:, None] * (1.0 - tv)[None, :]) * zc
-        inner = _inner_values(alphas, betas, args.ravel()).reshape(nn, nn)
-        integral = wu @ inner @ wv
-        lhs = complex(integral)
-        pre = complex_gamma(mc) * complex_gamma(nc) / complex_gamma(mc + nc + 1.0)
-        rhs_series, _, _ = hyper.component_series(
-            np.concatenate((alphas, [1.0 + 0j])),
-            np.concatenate((betas, [mc + nc + 1.0])),
-            zc,
-        )
-        rhs = complex(pre * rhs_series)
-        sides.append((lhs, rhs))
-    return make_report(sides, tol)
+    return make_report(per_component(_double_comp, params, z, m, n, curve.nodes), tol)
 
 
 def beta_product_check(m, n, k: int, nodes: int = DEFAULT_NODES, tol: float = 1e-10) -> IdentityReport:

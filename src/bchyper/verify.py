@@ -26,6 +26,10 @@ from .identities import ShiftM
 from .numbers import BiComplex, bc_pow, components, format_bicomplex
 
 MAX_ATTEMPTS = 100
+# region_scan's probe: REGION_CAP terms, Cauchy when the partial sums
+# over the last 50 of them stay within REGION_THRESHOLD.
+REGION_CAP = 2000
+REGION_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -115,13 +119,6 @@ def _ball_z(rng, rmin=0.05, rmax=0.75) -> BiComplex:
         th = rng.uniform(0.0, 2.0 * math.pi)
         comps.append(r * cmath.exp(1j * th))
     return BiComplex.from_idempotent(comps[0], comps[1])
-
-
-def _positive_bc(rng, lo=0.3, hi=2.0, im=0.4) -> BiComplex:
-    return BiComplex.from_idempotent(
-        complex(rng.uniform(lo, hi), rng.uniform(-im, im)),
-        complex(rng.uniform(lo, hi), rng.uniform(-im, im)),
-    )
 
 
 def _real_bc(rng) -> BiComplex:
@@ -272,8 +269,8 @@ def _euler_case(rng, o, case):
     p, q = _pick(rng, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
 
     def draw():
-        a1 = _positive_bc(rng, 0.3, 2.0)
-        b1 = a1 + _positive_bc(rng, 0.3, 1.5)
+        a1 = _bc_idem(rng, (0.3, 2.0), (-0.4, 0.4))
+        b1 = a1 + _bc_idem(rng, (0.3, 1.5), (-0.4, 0.4))
         rest_a = [_bc_idem(rng) for _ in range(p - 1)]
         rest_b = [_bc_idem(rng) for _ in range(q - 1)]
         try:
@@ -292,7 +289,7 @@ def _euler_case(rng, o, case):
 def _laplace_case(rng, o, case):
     p, q = _pick(rng, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
     params = _sample_params(rng, p, q)
-    v = _positive_bc(rng, 0.3, 2.5)
+    v = _bc_idem(rng, (0.3, 2.5), (-0.4, 0.4))
     z = _ball_z(rng, rmax=0.75)
     curve = quad.ProductCurve(quad.CurveKind.HALF_LINE, o["nodes"])
     rep = quad.laplace_integral(v, params, z, curve, o["tol"])
@@ -302,8 +299,8 @@ def _laplace_case(rng, o, case):
 def _double_case(rng, o, case):
     p, q = _pick(rng, [(0, 0), (1, 1), (2, 1), (1, 2)])
     params = _sample_params(rng, p, q)
-    m = _positive_bc(rng, 0.4, 2.2, im=0.3)
-    n = _positive_bc(rng, 0.4, 2.2, im=0.3)
+    m = _bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
+    n = _bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
     z = _ball_z(rng, rmax=0.75)
     curve = quad.ProductCurve(quad.CurveKind.UNIT_INTERVAL, o["nodes"])
     rep = quad.double_integral(m, n, params, z, curve, o["tol"])
@@ -647,8 +644,7 @@ def run_suite(theorem: str, **options) -> SuiteResult:
     return _finish(suite.theorem, rows, skipped, o["seed"])
 
 
-def region_scan(params: PfqParams, grid: int = 32, rmax: float = 1.25,
-                cap: int = 2000, threshold: float = 1e-6):
+def region_scan(params: PfqParams, grid: int = 32, rmax: float = 1.25):
     """Convergence flags over a radius grid for a ball-class parameter set.
 
     Points are Z = r1*e1 + r2*e2 with real radii; a point converges
@@ -660,8 +656,8 @@ def region_scan(params: PfqParams, grid: int = 32, rmax: float = 1.25,
     def converges(a, b, r):
         if r == 0.0:
             return True
-        delta, _, finite = kernels.window_probe(a, b, complex(r), cap, 50)
-        return bool(finite and delta < threshold)
+        delta, _, finite = kernels.window_probe(a, b, complex(r), REGION_CAP, 50)
+        return bool(finite and delta < REGION_THRESHOLD)
 
     flags1, flags2 = hyper.per_component(
         lambda a, b: [converges(a, b, r) for r in radii], params

@@ -52,11 +52,11 @@ class TestEval:
         assert "usage error" in err
 
     def test_parse_error_exits_one(self, capsys):
-        code, _, err = run_cli(
-            capsys, "eval", "--pfq", "0,0", "--z", "1+2q",
-        )
-        assert code == 1
-        assert "parse error" in err
+        # "0.3+" ends in a term with neither a number nor a unit
+        for z in ("1+2q", "0.3+"):
+            code, _, err = run_cli(capsys, "eval", "--pfq", "0,0", "--z", z)
+            assert code == 1
+            assert "parse error" in err
 
     def test_domain_error_reported(self, capsys):
         code, _, err = run_cli(

@@ -228,6 +228,12 @@ class TestDomain:
         got = pfq_value(params, from_idempotent(2.0, 3.0))
         assert np.isfinite(got.norm2())
 
+    def test_gate_both_components_before_summing(self):
+        # component 1 (|z1| = 0.999) would exhaust the cap; component 2
+        # lies outside the ball, and that is reported first
+        with pytest.raises(DomainError):
+            pfq(PfqParams([0.3, 0.4], [3.5]), from_idempotent(0.999, 1.5), cap=50)
+
     def test_cap_exhaustion(self):
         params = PfqParams([0.3, 0.4], [3.5])
         with pytest.raises(NoConvergenceError):

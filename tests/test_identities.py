@@ -6,6 +6,7 @@ from bchyper import (
     BiComplex,
     InvalidParamsError,
     PfqParams,
+    PoleError,
     ShiftM,
     bc_exp,
     cauchy_riemann_check,
@@ -202,6 +203,13 @@ class TestContiguous:
             PfqParams([0.7, 1.2], [1.9]), BiComplex(0.2, 0.05), ShiftM(2, 2)
         )
         assert rep.residual.max_comp() < 1e-9
+
+    def test_binomial_sum_pole(self):
+        # (alpha1)_s vanishes at alpha1 = 0, s = 1
+        with pytest.raises(PoleError):
+            contiguous_alpha_plus(
+                PfqParams([0.0], [1.5]), from_idempotent(0.3, 0.2), ShiftM(1, 0)
+            )
 
     def test_shift_validation(self):
         with pytest.raises(ValueError):
