@@ -247,17 +247,18 @@ def build_parser() -> _Parser:
         p.add_argument("--betas", default="", help="comma-separated bicomplex literals")
         if with_z:
             p.add_argument("--z", required=True, help="bicomplex argument literal")
-        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p_eval = sub.add_parser("eval", help="evaluate the series at a point")
     common(p_eval, with_z=True)
+    p_eval.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_eval.add_argument("--tol", type=float, default=hyper.DEFAULT_TOL)
     p_eval.add_argument("--cap", type=int, default=hyper.DEFAULT_CAP)
     p_eval.set_defaults(fn=_cmd_eval)
 
     p_cls = sub.add_parser("classify", help="convergence class of a parameter set")
     common(p_cls)
+    p_cls.add_argument("--format", choices=("plain", "json"), default="plain")
     p_cls.set_defaults(fn=_cmd_classify)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

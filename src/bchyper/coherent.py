@@ -148,12 +148,10 @@ def build_tables(spec: CoherentSpec) -> LadderTables:
     normalized tail coefficients satisfy |c_N|^2 < 1e-16.
     """
     norm1, norm2 = _norm_components(spec)
-    p = spec.params.p
-    split = components(spec.z, *spec.params.alphas, *spec.params.betas)
     nmax = spec.truncation
     while True:
-        (rho1, f1, raw1), (rho2, f2, raw2) = (
-            _component_tables(comps[:p], comps[p:], zc, nmax) for _, zc, *comps in split
+        (rho1, f1, raw1), (rho2, f2, raw2) = hyper.per_component(
+            _component_tables, spec.params, spec.z, nmax
         )
         last1 = abs(raw1[-1]) ** 2 / norm1
         last2 = abs(raw2[-1]) ** 2 / norm2

@@ -77,14 +77,13 @@ class PfqParams:
                     )
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
-        # The component vectors, built once as one read-only (2, p+q)
-        # array.  They are not fields, so equality and hashing see only
-        # the parameter values.
-        (_, *one), (_, *two) = components(*alphas, *betas)
-        rows = np.array(one + two, dtype=np.complex128).reshape(2, len(one))
-        rows.setflags(write=False)
-        object.__setattr__(self, "_alpha_rows", rows[:, : len(alphas)])
-        object.__setattr__(self, "_beta_rows", rows[:, len(alphas) :])
+        # The component vectors, built once as tuples of Python complex.
+        # They are not fields, so equality and hashing see only the
+        # parameter values.
+        p = len(alphas)
+        split = components(*alphas, *betas)
+        object.__setattr__(self, "_comp_alphas", tuple(c[1 : p + 1] for c in split))
+        object.__setattr__(self, "_comp_betas", tuple(c[p + 1 :] for c in split))
 
     @property
     def p(self) -> int:
@@ -94,13 +93,13 @@ class PfqParams:
     def q(self) -> int:
         return len(self.betas)
 
-    def comp_alphas(self, s: int) -> np.ndarray:
-        """Component s (1 or 2) of the alphas, a read-only complex array."""
-        return self._alpha_rows[s - 1]
+    def comp_alphas(self, s: int) -> tuple:
+        """Component s (1 or 2) of the alphas, a tuple of Python complex."""
+        return self._comp_alphas[s - 1]
 
-    def comp_betas(self, s: int) -> np.ndarray:
-        """Component s (1 or 2) of the betas, a read-only complex array."""
-        return self._beta_rows[s - 1]
+    def comp_betas(self, s: int) -> tuple:
+        """Component s (1 or 2) of the betas, a tuple of Python complex."""
+        return self._comp_betas[s - 1]
 
     def shifted(self, dalpha=0, dbeta=0) -> "PfqParams":
         """All alphas shifted by dalpha and all betas by dbeta."""
@@ -113,8 +112,8 @@ def per_component(worker, params: PfqParams, *values) -> list:
     """[worker(alphas_s, betas_s, *values_s) for s = 1, 2].
 
     The one place a relation is run on both idempotent components: the
-    parameter vectors come as lists (of numpy complex scalars) and
-    `values` are split by ``components``.
+    parameter vectors come as fresh lists of Python complex, which a
+    worker may concatenate, and `values` are split by ``components``.
     """
     return [
         worker(list(params.comp_alphas(s)), list(params.comp_betas(s)), *vals)
@@ -143,8 +142,7 @@ def classify(params: PfqParams) -> ConvergenceClass:
     if p > q + 1:
         return ConvergenceClass(ConvergenceKind.DIVERGENT)
     eta1, eta2 = (
-        complex(sum(b.tolist()) - sum(a.tolist())).real
-        for a, b in zip(params._alpha_rows, params._beta_rows)
+        (sum(params.comp_betas(s)) - sum(params.comp_alphas(s))).real for s in (1, 2)
     )
     cart1 = sum(b.re1 for b in params.betas) - sum(a.re1 for a in params.alphas)
     cart2 = sum(b.re2 for b in params.betas) - sum(a.re2 for a in params.alphas)
@@ -202,14 +200,12 @@ def component_series(
     summed exactly with the cap and tail logic bypassed.  No region
     check: callers gate the domain.
     """
-    a = np.ascontiguousarray(comp_alphas, dtype=np.complex128)
-    b = np.ascontiguousarray(comp_betas, dtype=np.complex128)
     z = complex(z)
-    k = termination_index(a)
+    k = termination_index(comp_alphas)
     if k is not None:
-        value = kernels.series_sum_terminating(a, b, z, k)
+        value = kernels.series_sum_terminating(comp_alphas, comp_betas, z, k)
         return value, k + 1, 0.0
-    value, n, tail, status = kernels.series_sum(a, b, z, tol, cap, MIN_TERMS)
+    value, n, tail, status = kernels.series_sum(comp_alphas, comp_betas, z, tol, cap, MIN_TERMS)
     if status != kernels.STATUS_OK:
         raise NoConvergenceError(
             f"series did not meet the stop rule within {cap} terms at z = {z}"
@@ -305,8 +301,7 @@ def oracle_pfq_complex(
     stop rule: three consecutive terms below tol * |sum|, at least
     eight terms.
     """
-    a = np.array(list(a_list), dtype=np.complex128)
-    b = np.array(list(b_list), dtype=np.complex128)
+    a, b = list(a_list), list(b_list)
     z = complex(z)
     total = 1.0 + 0.0j
     below = 0
@@ -343,7 +338,5 @@ def boundary_probe(params: PfqParams, z: BiComplex, cap: int = 20_000):
 
 def ratio_radius_estimate(comp_alphas, comp_betas, n: int) -> float:
     """|a_n / a_{n+1}| term-ratio estimate of the convergence radius."""
-    a = np.asarray(comp_alphas, dtype=np.complex128)
-    b = np.asarray(comp_betas, dtype=np.complex128)
-    r = abs(kernels.term_ratio(a, b, n))
+    r = abs(kernels.term_ratio(comp_alphas, comp_betas, n))
     return math.inf if r == 0.0 else 1.0 / r

@@ -126,7 +126,7 @@ def quad_odd_comp(a, b, z, scale):
     num, den = kernels.ratio_parts(a, b, 0)  # prod(a), prod(b)
     if abs(den) < NULL_TOL * max(1.0, abs(num)):
         raise NullConeError("odd-transform prefactor divides by a null denominator")
-    return _quadratic_comp(a, b, z, scale, 1, 2.0 * z * num / den)
+    return _quadratic_comp(a, b, z, scale, 1, 2.0 * z * np.complex128(num) / den)
 
 
 def _quadratic(params, z, tol, offset, worker) -> IdentityReport:
@@ -217,7 +217,7 @@ def derivative_comp(a, b, z, k):
         v = _F(a, b, z)
         return v, v
     shifted_a, shifted_b = [x + k for x in a], [x + k for x in b]
-    c_k = coeff_table(np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128), k)[k]
+    c_k = coeff_table(a, b, k)[k]
     lhs = c_k * math.factorial(k) * _F(shifted_a + [k + 1.0], shifted_b + [k + 1.0], z)
     pre = 1.0 + 0j
     for x in a:
@@ -377,7 +377,8 @@ def contiguous_beta_plus_comp(a, b, z, m, n):
             den = (b[0] + s - 1.0) * (b[0] + s) * tail_den
             if abs(den) < NULL_TOL * max(1.0, abs(num)):
                 raise NullConeError("beta-shift denominator vanishes")
-            acc += (num / den) * _F([x + 1 for x in a], [b[0] + s + 1] + [x + 1 for x in b[1:]], z)
+            weight = np.complex128(num) / den
+            acc += weight * _F([x + 1 for x in a], [b[0] + s + 1] + [x + 1 for x in b[1:]], z)
         return acc
 
     rhs = 2.0 * base - z * one(m) - z * one(n)
@@ -441,9 +442,7 @@ def contiguous_beta_plus(
 def _ode_component(a, b, z, count):
     """Residual and dropped-term bound of the theta-operator applied to
     the degree-`count` truncation, on the coefficient sequence."""
-    c = coeff_table(
-        np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128), count
-    )
+    c = coeff_table(a, b, count)
     # residual polynomial: d/dz prod(theta + b - 1) - prod(theta + a) on
     # sum c_n z^n; the interior coefficients cancel to rounding, the
     # degree-count coefficient survives as -prod(count + a) * c_count.
@@ -489,8 +488,6 @@ def coefficient_recurrence_ulps(params: PfqParams, count: int) -> float:
 
 
 def _recurrence_ulps(a, b, count):
-    a = np.array(a, dtype=np.complex128)
-    b = np.array(b, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         c = coeff_table(a, b, count)
     worst = 0.0

@@ -18,12 +18,13 @@ takes its ratios from it:
   ratio;
 - ``window_probe`` takes all ratios at once over an index array.
 
-All kernels take the component parameter vectors as 1-D complex128
-arrays (length 0 is fine).  The scalar kernels convert them to Python
-complex once per call and take the products in Python complex, which
-rounds like numpy's scalar arithmetic; the ratio itself is a numpy
-division, ``np.complex128(num) / den``, because Python's complex
-division rounds differently.
+All kernels take the component parameter vectors as any sequence of
+numbers (length 0 is fine) and iterate it as it is: ``PfqParams``
+builds them as tuples of Python complex, and ``per_component`` hands
+workers list copies.  With those, the scalar kernels take the products
+in Python complex, which rounds like numpy's scalar arithmetic; the
+ratio itself is a numpy division, ``np.complex128(num) / den``,
+because Python's complex division rounds differently.
 
 Status codes: 0 = stop rule met, 1 = cap reached.
 """
@@ -73,19 +74,18 @@ def series_sum(alphas, betas, z, tol, cap, min_terms):
     can be an accidental zero, not convergence).  Returns
     (value, terms_used, tail_estimate, status); the tail is ``_tail``.
     """
-    a, b = alphas.tolist(), betas.tolist()
     total = term = 1.0 + 0.0j
     below = 0
     n = 0
     while n < cap:
-        num, den = ratio_parts(a, b, n)
+        num, den = ratio_parts(alphas, betas, n)
         term = term * (z * (np.complex128(num) / den))
         total = total + term
         n += 1
         if abs(term) <= tol * abs(total):
             below += 1
             if below >= 3 and n >= min_terms:
-                return total, n + 1, float(_tail(a, b, z, term, n)), STATUS_OK
+                return total, n + 1, float(_tail(alphas, betas, z, term, n)), STATUS_OK
         else:
             below = 0
     return total, n + 1, np.inf, STATUS_CAP
@@ -93,10 +93,9 @@ def series_sum(alphas, betas, z, tol, cap, min_terms):
 
 def series_sum_terminating(alphas, betas, z, last_n):
     """Exact sum of a terminating series: terms n = 0 .. last_n inclusive."""
-    a, b = alphas.tolist(), betas.tolist()
     total = term = 1.0 + 0.0j
     for n in range(last_n):
-        num, den = ratio_parts(a, b, n)
+        num, den = ratio_parts(alphas, betas, n)
         term = term * (z * (np.complex128(num) / den))
         total = total + term
     return total
@@ -104,11 +103,10 @@ def series_sum_terminating(alphas, betas, z, last_n):
 
 def coeff_table(alphas, betas, count):
     """Series coefficients c_0 .. c_count via the term-ratio recurrence."""
-    a, b = alphas.tolist(), betas.tolist()
     out = np.empty(count + 1, dtype=np.complex128)
     c = out[0] = 1.0 + 0.0j
     for n in range(count):
-        num, den = ratio_parts(a, b, n)
+        num, den = ratio_parts(alphas, betas, n)
         c = out[n + 1] = c * (np.complex128(num) / den)
     return out
 
@@ -128,7 +126,7 @@ def term_ratio(alphas, betas, n):
     table against the same arithmetic that ``coeff_table`` used to
     build it, operation for operation.
     """
-    num, den = ratio_parts(alphas.tolist(), betas.tolist(), n)
+    num, den = ratio_parts(alphas, betas, n)
     return np.complex128(num) / den
 
 
@@ -140,7 +138,6 @@ def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
     the stop rule has its results written out and is dropped, so later
     steps cost only what is still running.
     """
-    a, b = alphas.tolist(), betas.tolist()
     zs = np.ascontiguousarray(zs, dtype=np.complex128)
     m = zs.shape[0]
     values = np.empty(m, dtype=np.complex128)
@@ -155,7 +152,7 @@ def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
     below = np.zeros(m, dtype=np.int64)
     n = 0
     while n < cap and live.size:
-        num, den = ratio_parts(a, b, n)
+        num, den = ratio_parts(alphas, betas, n)
         term = term * (z * (np.complex128(num) / den))
         total = total + term
         n += 1
@@ -168,7 +165,7 @@ def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
             out = live[done]
             values[out] = total[done]
             counts[out] = n + 1
-            tails[out] = _tail(a, b, z[done], term[done], n)
+            tails[out] = _tail(alphas, betas, z[done], term[done], n)
             statuses[out] = STATUS_OK
             keep = ~done
             live, z, term, total, below = live[keep], z[keep], term[keep], total[keep], below[keep]

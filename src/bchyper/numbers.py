@@ -448,7 +448,7 @@ def _split_terms(s: str):
             depth -= 1
             if depth < 0:
                 raise ValueError("unbalanced parentheses")
-        if ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "eE(+-":
+        if ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "eE(":
             terms.append(cur)
             cur = ch
             continue

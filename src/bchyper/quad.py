@@ -225,18 +225,14 @@ def _require_ball(z: BiComplex):
             raise DomainError(f"argument component {s} has modulus {abs(comp)} >= 1")
 
 
-def _inner_values(comp_alphas, comp_betas, args):
-    a = np.ascontiguousarray(comp_alphas, dtype=np.complex128)
-    b = np.ascontiguousarray(comp_betas, dtype=np.complex128)
+def _inner_values(a, b, args):
     k = hyper.termination_index(a)
     if k is not None:
         return np.array(
             [kernels.series_sum_terminating(a, b, z, k) for z in args],
             dtype=np.complex128,
         )
-    values, _, _, statuses = kernels.series_sum_many(
-        a, b, np.asarray(args, dtype=np.complex128), DEFAULT_TOL, DEFAULT_CAP
-    )
+    values, _, _, statuses = kernels.series_sum_many(a, b, args, DEFAULT_TOL, DEFAULT_CAP)
     if np.any(statuses != kernels.STATUS_OK):
         raise NoConvergenceError("inner series hit the term cap inside the quadrature")
     return values

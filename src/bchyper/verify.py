@@ -142,9 +142,13 @@ def _sample_params(rng, p, q, re=(0.3, 2.2), im=(-0.35, 0.35)) -> PfqParams:
 
 
 def _attempts(fn):
-    """Run fn() until it returns non-None, at most MAX_ATTEMPTS times."""
+    """Run fn() until it returns non-None, at most MAX_ATTEMPTS times; a
+    draw that returns None or raises BCHyperError is a failed attempt."""
     for _ in range(MAX_ATTEMPTS):
-        out = fn()
+        try:
+            out = fn()
+        except BCHyperError:
+            continue
         if out is not None:
             return out
     return None
@@ -207,10 +211,7 @@ def _boundary_case(rng, eta_lo, eta_hi):
             re_needed = target + sum(x.real for x in c[:p]) - sum(x.real for x in c[p:])
             comps.append(complex(re_needed, rng.uniform(-0.25, 0.25)))
         betas.append(BiComplex.from_idempotent(comps[0], comps[1]))
-        try:
-            params = PfqParams(alphas, betas)
-        except BCHyperError:
-            return None
+        params = PfqParams(alphas, betas)
         z = BiComplex.from_idempotent(
             cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
             cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
@@ -273,10 +274,7 @@ def _euler_case(rng, o, case):
         b1 = a1 + _bc_idem(rng, (0.3, 1.5), (-0.4, 0.4))
         rest_a = [_bc_idem(rng) for _ in range(p - 1)]
         rest_b = [_bc_idem(rng) for _ in range(q - 1)]
-        try:
-            return PfqParams([a1] + rest_a, [b1] + rest_b)
-        except BCHyperError:
-            return None
+        return PfqParams([a1] + rest_a, [b1] + rest_b)
 
     params = _attempts(draw)
     if params is None:
@@ -324,10 +322,7 @@ def _quadratic_body(relation, offset):
 
         def draw():
             params = _sample_params(rng, p, q)
-            try:
-                identities._halved_shape(params, offset)
-            except BCHyperError:
-                return None
+            identities._halved_shape(params, offset)
             return params
 
         params = _attempts(draw)
@@ -344,10 +339,7 @@ def _saalschutz_case(rng, o, case):
 
     def draw():
         a1, a2, b = (_bc_idem(rng, re=(0.2, 2.4), im=(-0.5, 0.5)) for _ in range(3))
-        try:
-            return identities.saalschutz(n, a1, a2, b, o["tol"])
-        except BCHyperError:
-            return None
+        return identities.saalschutz(n, a1, a2, b, o["tol"])
 
     rep = _attempts(draw)
     if rep is None:
@@ -383,10 +375,7 @@ def _cauchy_riemann_case(rng, o, index):
             complex(rng.uniform(0.15, 0.45), rng.uniform(-0.05, 0.05)),
             complex(rng.uniform(0.15, 0.45), rng.uniform(-0.05, 0.05)),
         )
-        try:
-            params = PfqParams(alphas, [b0])
-        except BCHyperError:
-            return None
+        params = PfqParams(alphas, [b0])
         z = _ball_z(rng, rmin=0.5, rmax=0.75)
         first = identities.cauchy_riemann_check(params, z, hs[0], wrt=wrt)
         if first.residual.max_comp() < o["min_signal"]:
@@ -418,11 +407,7 @@ def _contiguous_body(relation, beta_offset=0.0):
             alphas = [_bc_idem(rng, re=(0.3, 2.2)) for _ in range(p)]
             lo = 0.4 + beta_offset
             betas = [_bc_idem(rng, re=(lo, lo + 2.2)) for _ in range(q)]
-            try:
-                params = PfqParams(alphas, betas)
-                return relation(params, _ball_z(rng, rmax=0.6), shift, o["tol"])
-            except BCHyperError:
-                return None
+            return relation(PfqParams(alphas, betas), _ball_z(rng, rmax=0.6), shift, o["tol"])
 
         rep = _attempts(draw)
         if rep is None:

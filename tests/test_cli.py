@@ -92,6 +92,14 @@ class TestClassify:
         assert doc["results"][0]["class"] == "unit-ball-boundary-convergent"
         assert abs(doc["results"][0]["margin"] - 2.8) < 1e-12
 
+    def test_csv_format_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "classify", "--pfq", "1,1", "--alphas", "1", "--betas", "1.5",
+            "--format", "csv",
+        )
+        assert code == 1
+        assert out == "" and "usage error" in err
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):
@@ -176,6 +184,15 @@ class TestRegionPlot:
         )
         assert code == 1
         assert "usage error" in err
+
+    def test_format_is_a_usage_error(self, capsys):
+        # the region plot is always CSV, so it takes no --format
+        code, out, err = run_cli(
+            capsys, "region-plot", "--pfq", "2,1", "--alphas", "0.7,1.2",
+            "--betas", "1.9", "--grid", "4", "--format", "json",
+        )
+        assert code == 1
+        assert out == "" and "usage error" in err
 
     def test_grid_flags(self, capsys):
         code, out, _ = run_cli(

@@ -22,7 +22,7 @@ from bchyper import (
     pfq,
     pfq_value,
 )
-from bchyper.hyper import boundary_probe, ratio_radius_estimate
+from bchyper.hyper import boundary_probe, per_component, ratio_radius_estimate
 from conftest import assert_bc_close, comp_rel_err
 
 
@@ -40,18 +40,32 @@ class TestParams:
     def test_negative_integer_alpha_allowed(self):
         PfqParams([-3.0], [1.5])  # terminating series are fine
 
-    def test_component_vectors_are_read_only_rows(self):
+    def test_component_vectors_are_complex_tuples(self):
         p = PfqParams([from_idempotent(0.5 + 1j, 2.0), 1.5], [from_idempotent(3.0, 1.0 - 1j)])
-        assert p.comp_alphas(1).tolist() == [0.5 + 1j, 1.5]
-        assert p.comp_alphas(2).tolist() == [2.0, 1.5]
-        assert p.comp_betas(2).tolist() == [1.0 - 1j]
+        assert p.comp_alphas(1) == (0.5 + 1j, 1.5)
+        assert p.comp_alphas(2) == (2.0, 1.5)
+        assert p.comp_betas(1) == (3.0,)
+        assert p.comp_betas(2) == (1.0 - 1j,)
+        for s in (1, 2):
+            for vector in (p.comp_alphas(s), p.comp_betas(s)):
+                assert type(vector) is tuple
+                assert all(type(x) is complex for x in vector)
         assert p.comp_alphas(1) is not p.comp_alphas(2)
-        with pytest.raises(ValueError):
-            p.comp_alphas(1)[0] = 0.0
-        # the cached rows take no part in equality and hashing
+        # the component vectors take no part in equality and hashing
         q = PfqParams(p.alphas, p.betas)
         assert p == q and hash(p) == hash(q)
-        assert PfqParams([], []).comp_alphas(2).shape == (0,)
+        assert PfqParams([], []).comp_alphas(2) == ()
+        assert PfqParams([], [2.0]).comp_alphas(1) == ()
+
+    def test_per_component_hands_lists_of_complex(self):
+        p = PfqParams([from_idempotent(0.5 + 1j, 2.0), 1.5], [3.0])
+        z = from_idempotent(0.25, 0.5j)
+        sides = per_component(lambda a, b, zc: (a, b, zc), p, z)
+        for s, (a, b, zc) in zip((1, 2), sides):
+            assert type(a) is list and type(b) is list
+            assert all(type(x) is complex for x in a + b)
+            assert (a, b) == (list(p.comp_alphas(s)), list(p.comp_betas(s)))
+            assert zc == (z.idem1 if s == 1 else z.idem2)
 
 
 class TestClassify:

@@ -103,7 +103,9 @@ class TestPinnedBits:
     ``series_sum`` value with its term count and status, the 13-term
     ``series_sum_terminating`` sum and ``coeff_table(..., 30)``, recorded
     before the kernels shared ``ratio_parts``.  Any change to the order
-    or kind of rounding in the recurrence shows here first.
+    or kind of rounding in the recurrence shows here first.  Each case
+    runs from a tuple of Python complex, the form ``PfqParams`` builds,
+    and from a complex128 array.
     """
 
     CASES = json.loads((Path(__file__).parent / "data" / "kernel_bits.json").read_text())
@@ -116,16 +118,18 @@ class TestPinnedBits:
     def test_scalar_kernels_keep_their_bits(self):
         assert len(self.CASES) == 7
         for i, case in enumerate(self.CASES):
-            a, b = (np.array([complex(*x) for x in case[k]], dtype=np.complex128)
-                    for k in ("alphas", "betas"))
+            a, b = (tuple(complex(*x) for x in case[k]) for k in ("alphas", "betas"))
             z = complex(*case["z"])
-            v, n, _, status = kernels.series_sum(a, b, z, 1e-15, 10_000, 8)
-            got = {"value": self._hex(v), "terms": n, "status": status}
-            assert got == case["series_sum"], i
-            got = self._hex(kernels.series_sum_terminating(a, b, z, 12))
-            assert got == case["series_sum_terminating_12"], i
-            got = [self._hex(c) for c in kernels.coeff_table(a, b, 30)]
-            assert got == case["coeff_table_30"], i
+            arrays = tuple(np.array(x, dtype=np.complex128) for x in (a, b))
+            for vectors in ((a, b), arrays):
+                label = (i, type(vectors[0]).__name__)
+                v, n, _, status = kernels.series_sum(*vectors, z, 1e-15, 10_000, 8)
+                got = {"value": self._hex(v), "terms": n, "status": status}
+                assert got == case["series_sum"], label
+                got = self._hex(kernels.series_sum_terminating(*vectors, z, 12))
+                assert got == case["series_sum_terminating_12"], label
+                got = [self._hex(c) for c in kernels.coeff_table(*vectors, 30)]
+                assert got == case["coeff_table_30"], label
 
 
 class TestWindowProbe:

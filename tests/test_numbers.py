@@ -349,7 +349,8 @@ class TestSerialization:
             parse_bicomplex("1+2q3")
         with pytest.raises(ValueError):
             parse_bicomplex("(1+2i1")
-        # a term with neither a number nor a unit, and empty parentheses
-        for text in ("1+", "1-", "-", "0.5e1+", "()e1"):
+        # a term with neither a number nor a unit (a doubled sign leaves
+        # one), and empty parentheses
+        for text in ("1+", "1-", "-", "0.5e1+", "1++2", "1+-2", "1-+2", "+-1", "()e1"):
             with pytest.raises(ValueError):
                 parse_bicomplex(text)
