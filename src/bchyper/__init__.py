@@ -33,7 +33,6 @@ from .numbers import (
     HBall,
     HOrder,
     Hyperbolic,
-    add,
     bc_exp,
     bc_pow,
     conjugates,
@@ -41,17 +40,14 @@ from .numbers import (
     from_idempotent,
     from_json_dict,
     h_less,
-    idempotent_split,
     in_null_cone,
     inverse,
     is_zero_divisor,
-    mul,
     norms,
     parse_bicomplex,
     to_json_dict,
 )
 from .gamma import (
-    PochhammerTable,
     bc_gamma,
     bc_pochhammer,
     complex_gamma,
@@ -81,7 +77,6 @@ from .identities import (
     contiguous_beta_minus,
     contiguous_beta_plus,
     derivative_relation,
-    ode_residual,
     ode_residual_with_bound,
     quad_even,
     quad_odd,

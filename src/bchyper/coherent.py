@@ -93,7 +93,12 @@ class CoherentSpec:
 
 @dataclass(frozen=True)
 class LadderTables:
-    """Componentwise rho, f, and unnormalized coefficient tables."""
+    """Componentwise tables of rho, f and the normalized coefficients
+    c_n = Z^n / sqrt(rho(n) * N), all read-only.
+
+    N is the normalization; ``build_tables`` evaluates it once, so every
+    reader of c1/c2 shares one set of component sums.
+    """
 
     spec: CoherentSpec
     nmax: int
@@ -101,17 +106,14 @@ class LadderTables:
     rho2: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    raw1: np.ndarray = field(repr=False)
-    raw2: np.ndarray = field(repr=False)
+    c1: np.ndarray = field(repr=False)
+    c2: np.ndarray = field(repr=False)
 
     def rho(self, n: int) -> BiComplex:
         return BiComplex.from_idempotent(self.rho1[n], self.rho2[n])
 
     def f(self, n: int) -> BiComplex:
         return BiComplex.from_idempotent(self.f1[n], self.f2[n])
-
-    def coeff_raw(self, n: int) -> BiComplex:
-        return BiComplex.from_idempotent(self.raw1[n], self.raw2[n])
 
 
 def _component_tables(a, b, z, nmax):
@@ -156,12 +158,13 @@ def build_tables(spec: CoherentSpec) -> LadderTables:
         last1 = abs(raw1[-1]) ** 2 / norm1
         last2 = abs(raw2[-1]) ** 2 / norm2
         if (last1 < COEFF_FLOOR and last2 < COEFF_FLOOR) or nmax >= HARD_TRUNCATION:
+            c1 = raw1 / math.sqrt(norm1)
+            c2 = raw2 / math.sqrt(norm2)
             # the result is cached and shared: freeze it against callers
-            for arr in (rho1, rho2, f1, f2, raw1, raw2):
+            for arr in (rho1, rho2, f1, f2, c1, c2):
                 arr.setflags(write=False)
             return LadderTables(
-                spec=spec, nmax=nmax,
-                rho1=rho1, rho2=rho2, f1=f1, f2=f2, raw1=raw1, raw2=raw2,
+                spec=spec, nmax=nmax, rho1=rho1, rho2=rho2, f1=f1, f2=f2, c1=c1, c2=c2
             )
         nmax = min(2 * nmax, HARD_TRUNCATION)
 
@@ -185,9 +188,7 @@ def state_coefficients(spec: CoherentSpec):
     tail; a tail above 1e-12 raises TruncationError.
     """
     tables = build_tables(spec)
-    n1, n2 = _norm_components(spec)
-    c1 = tables.raw1 / math.sqrt(n1)
-    c2 = tables.raw2 / math.sqrt(n2)
+    c1, c2 = tables.c1, tables.c2
     tail1 = max(0.0, 1.0 - float(np.sum(np.abs(c1) ** 2)))
     tail2 = max(0.0, 1.0 - float(np.sum(np.abs(c2) ** 2)))
     if tail1 >= TAIL_LIMIT or tail2 >= TAIL_LIMIT:
@@ -199,10 +200,10 @@ def state_coefficients(spec: CoherentSpec):
 
 
 def coefficient_arrays(spec: CoherentSpec):
-    """(c1, c2) normalized component coefficient arrays (fast path for sweeps)."""
+    """(c1, c2) normalized component coefficient arrays (fast path for
+    sweeps), the read-only arrays of the cached tables."""
     tables = build_tables(spec)
-    n1, n2 = _norm_components(spec)
-    return tables.raw1 / math.sqrt(n1), tables.raw2 / math.sqrt(n2)
+    return tables.c1, tables.c2
 
 
 def inner_product(spec_a: CoherentSpec, spec_b: CoherentSpec) -> BiComplex:
@@ -233,7 +234,7 @@ def annihilate(spec: CoherentSpec) -> IdentityReport:
     tail for a correct recurrence.
     """
     tables = build_tables(spec)
-    c1, c2 = coefficient_arrays(spec)
+    c1, c2 = tables.c1, tables.c2
     sides = []
     for (_, zc), f, c in zip(components(spec.z), (tables.f1, tables.f2), (c1, c2)):
         lowered = f * c[1:]
@@ -242,8 +243,8 @@ def annihilate(spec: CoherentSpec) -> IdentityReport:
         weight = float(np.sum(np.abs(c[:-1]) ** 2))
         rayleigh = complex(np.sum(np.conj(c[:-1]) * lowered) / weight) if weight > 0 else 0j
         sides.append((rayleigh, zc, misfit))
-    bound1 = abs(c1[-1]) * (tables.f1[-1] if len(tables.f1) else 0.0)
-    bound2 = abs(c2[-1]) * (tables.f2[-1] if len(tables.f2) else 0.0)
+    bound1 = abs(c1[-1]) * tables.f1[-1]
+    bound2 = abs(c2[-1]) * tables.f2[-1]
     tol = max(bound1, bound2, 64 * np.finfo(float).eps * tables.nmax)
     r1 = sides[0][2]
     r2 = sides[1][2]

@@ -1,10 +1,9 @@
-"""Complex and bicomplex gamma function plus Pochhammer scaffolding."""
+"""Complex and bicomplex gamma function and rising factorials."""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +25,8 @@ _STIRLING = (
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def nearest_nonpositive_int(w, tol: float = POLE_TOL):
-    """The n >= 0 with w ~ -n within tol, or None.
+def nearest_nonpositive_int(w):
+    """The n >= 0 with w ~ -n within POLE_TOL (relative), or None.
 
     Used both for gamma pole detection and for spotting terminating
     (polynomial) hypergeometric series.
@@ -38,7 +37,7 @@ def nearest_nonpositive_int(w, tol: float = POLE_TOL):
     n = -round(w.real)
     if n < 0:
         return None
-    if abs(w + n) <= tol * max(1.0, abs(w)):
+    if abs(w + n) <= POLE_TOL * max(1.0, abs(w)):
         return n
     return None
 
@@ -132,29 +131,6 @@ def complex_pochhammer(a, n: int) -> complex:
     if n < 0:
         raise ValueError("pochhammer order must be nonnegative")
     return kernels.pochhammer(complex(a), n)
-
-
-@dataclass(frozen=True)
-class PochhammerTable:
-    """Prefix table (base)_0 .. (base)_upto built by the recurrence."""
-
-    base: BiComplex
-    upto: int
-    values: tuple = field(init=False)
-
-    def __post_init__(self):
-        vals = [BiComplex(1.0)]
-        acc = BiComplex(1.0)
-        for k in range(self.upto):
-            acc = acc * (self.base + k)
-            vals.append(acc)
-        object.__setattr__(self, "values", tuple(vals))
-
-    def __getitem__(self, n: int) -> BiComplex:
-        return self.values[n]
-
-    def __len__(self):
-        return len(self.values)
 
 
 def gamma_product_oracle(z: BiComplex, terms: int = 10**6) -> BiComplex:

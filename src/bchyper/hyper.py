@@ -22,7 +22,6 @@ from .numbers import BiComplex, Hyperbolic, components
 
 DEFAULT_TOL = 1e-15
 DEFAULT_CAP = 10_000
-MIN_TERMS = 8
 
 # |component| closer to 1 than this counts as "on the boundary".
 BOUNDARY_BAND = 1e-12
@@ -53,10 +52,6 @@ class ConvergenceClass:
     eta1: float | None = None
     eta2: float | None = None
     margin: float | None = None
-
-    @property
-    def boundary_convergent(self) -> bool:
-        return self.kind is ConvergenceKind.UNIT_BALL_BOUNDARY
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,7 @@ def _check_component_domain(kind: ConvergenceKind, r: float, margin, label: str)
     if r < 1.0 - BOUNDARY_BAND:
         return
     if r <= 1.0 + BOUNDARY_BAND:
-        if kind is ConvergenceKind.UNIT_BALL_BOUNDARY and margin is not None and margin > BOUNDARY_MARGIN:
+        if kind is ConvergenceKind.UNIT_BALL_BOUNDARY and margin > BOUNDARY_MARGIN:
             return
         raise DomainError(
             f"boundary evaluation needs the convergence inequality with margin"
@@ -205,7 +200,7 @@ def component_series(
     if k is not None:
         value = kernels.series_sum_terminating(comp_alphas, comp_betas, z, k)
         return value, k + 1, 0.0
-    value, n, tail, status = kernels.series_sum(comp_alphas, comp_betas, z, tol, cap, MIN_TERMS)
+    value, n, tail, status = kernels.series_sum(comp_alphas, comp_betas, z, tol, cap)
     if status != kernels.STATUS_OK:
         raise NoConvergenceError(
             f"series did not meet the stop rule within {cap} terms at z = {z}"
@@ -240,8 +235,8 @@ def pfq(
     )
 
 
-def pfq_value(params, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> BiComplex:
-    return pfq(params, z, tol, cap).value
+def pfq_value(params, z) -> BiComplex:
+    return pfq(params, z).value
 
 
 def check_domain(params: PfqParams, z: BiComplex) -> ConvergenceClass:
@@ -271,42 +266,37 @@ def pfq_components(params: PfqParams, z: BiComplex):
     return tuple(value for value, _, _ in per_component(component_series, params, z))
 
 
-def hyp1f1(a, b, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> BiComplex:
+def hyp1f1(a, b, z) -> BiComplex:
     """Confluent case, p = q = 1."""
-    return pfq_value(PfqParams([a], [b]), z, tol, cap)
+    return pfq_value(PfqParams([a], [b]), z)
 
 
-def hyp2f1(a1, a2, b, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> BiComplex:
+def hyp2f1(a1, a2, b, z) -> BiComplex:
     """Gauss case, p = 2, q = 1; argument must lie in the unit ball."""
-    return pfq_value(PfqParams([a1, a2], [b]), z, tol, cap)
+    return pfq_value(PfqParams([a1, a2], [b]), z)
 
 
-def hyp1f0(v, z, tol=DEFAULT_TOL, cap=DEFAULT_CAP) -> BiComplex:
+def hyp1f0(v, z) -> BiComplex:
     """Binomial case, p = 1, q = 0; equals (1 - z)^(-v) on the ball."""
-    return pfq_value(PfqParams([v], []), z, tol, cap)
+    return pfq_value(PfqParams([v], []), z)
 
 
-def oracle_pfq_complex(
-    a_list,
-    b_list,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    cap: int = DEFAULT_CAP,
-) -> complex:
+def oracle_pfq_complex(a_list, b_list, z: complex) -> complex:
     """Independent classical complex series, the componentwise oracle.
 
     Every term is rebuilt from scratch as a product of per-index
     ratios (numpy prod over a fresh array), deliberately not sharing
     the kernel's running recurrence, so rounding paths differ.  Same
-    stop rule: three consecutive terms below tol * |sum|, at least
-    eight terms.
+    stop rule as the kernels, at DEFAULT_TOL within DEFAULT_CAP terms:
+    three consecutive terms below tol * |sum|, at least
+    ``kernels.MIN_TERMS`` terms.
     """
     a, b = list(a_list), list(b_list)
     z = complex(z)
     total = 1.0 + 0.0j
     below = 0
     n = 1
-    while n <= cap:
+    while n <= DEFAULT_CAP:
         k = np.arange(n, dtype=np.float64)
         num = np.ones(n, dtype=np.complex128)
         for ai in a:
@@ -316,14 +306,14 @@ def oracle_pfq_complex(
             den = den * (bj + k)
         term = complex(np.prod(z * num / den))
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= DEFAULT_TOL * abs(total):
             below += 1
-            if below >= 3 and n >= MIN_TERMS:
+            if below >= 3 and n >= kernels.MIN_TERMS:
                 return total
         else:
             below = 0
         n += 1
-    raise NoConvergenceError(f"oracle series did not converge within {cap} terms")
+    raise NoConvergenceError(f"oracle series did not converge within {DEFAULT_CAP} terms")
 
 
 def boundary_probe(params: PfqParams, z: BiComplex, cap: int = 20_000):
@@ -331,7 +321,10 @@ def boundary_probe(params: PfqParams, z: BiComplex, cap: int = 20_000):
     window of PROBE_WINDOW terms.
 
     Returns ((delta1, maxterm1, finite1), (delta2, maxterm2, finite2)).
+    The window needs at least two terms, so cap < 2 raises ValueError.
     """
+    if cap < 2:
+        raise ValueError(f"boundary_probe needs cap >= 2, got cap={cap}")
     z = BiComplex.coerce(z)
     return tuple(per_component(kernels.window_probe, params, z, cap, PROBE_WINDOW))
 

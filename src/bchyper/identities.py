@@ -241,12 +241,12 @@ def derivative_relation(
     return make_report(per_component(derivative_comp, params, z, k), tol)
 
 
-def _replaced(params: PfqParams, which: str, index: int, value) -> PfqParams:
-    """params with parameter `index` of `which` ("alphas" or "betas")
+def _replaced(params: PfqParams, which: str, value) -> PfqParams:
+    """params with the first parameter of `which` ("alphas" or "betas")
     replaced by value."""
     vectors = {"alphas": params.alphas, "betas": params.betas}
     moved = list(vectors[which])
-    moved[index] = value
+    moved[0] = value
     return PfqParams(**{**vectors, which: moved})
 
 
@@ -256,21 +256,16 @@ def _replaced(params: PfqParams, which: str, index: int, value) -> PfqParams:
 
 
 def cauchy_riemann_check(
-    params: PfqParams,
-    z: BiComplex,
-    h: float,
-    wrt: str = "z",
-    index: int = 0,
-    tol: float = 1e-7,
+    params: PfqParams, z: BiComplex, h: float, wrt: str = "z"
 ) -> IdentityReport:
     """Central-difference check of both Cauchy-Riemann equations.
 
     Writes F = f1 + i2*f2 and differences either the argument's
-    cartesian parts (wrt="z") or the cartesian parts of one parameter
-    (wrt="alpha"/"beta" with index).  The report packs
-    lhs = df1/du + i2*df1/dv and rhs = df2/dv - i2*df2/du, whose
-    equality is exactly the pair of CR equations; the residual is
-    O(h^2) for a holomorphic family.
+    cartesian parts (wrt="z") or the cartesian parts of the first
+    parameter (wrt="alpha"/"beta"; ValueError when there is none).  The
+    report packs lhs = df1/du + i2*df1/dv and rhs = df2/dv - i2*df2/du,
+    whose equality is exactly the pair of CR equations; the residual is
+    O(h^2) for a holomorphic family, and passes at 1e-7.
     """
     if not (1e-8 <= h <= 1e-2):
         raise ValueError("step size out of the sensible range [1e-8, 1e-2]")
@@ -284,13 +279,13 @@ def cauchy_riemann_check(
     elif wrt in ("alpha", "beta"):
         which = wrt + "s"
         source = getattr(params, which)
-        if not 0 <= index < len(source):
-            raise ValueError(f"no {wrt} parameter with index {index}")
+        if not source:
+            raise ValueError(f"no {wrt} parameter to differentiate")
 
         def parts(du, dv):
-            target = source[index]
+            target = source[0]
             moved = BiComplex(target.re1 + du, target.re2 + dv)
-            v = hyper.pfq_value(_replaced(params, which, index, moved), z)
+            v = hyper.pfq_value(_replaced(params, which, moved), z)
             return v.re1, v.re2
     else:
         raise ValueError(f"unknown differentiation target {wrt!r}")
@@ -305,7 +300,7 @@ def cauchy_riemann_check(
     df2_dv = (f2_pv - f2_mv) / (2.0 * h)
     lhs = BiComplex(df1_du, df1_dv)
     rhs = BiComplex(df2_dv, -df2_du)
-    return make_report([sides for _, *sides in components(lhs, rhs)], tol)
+    return make_report([sides for _, *sides in components(lhs, rhs)], 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +393,7 @@ def _contiguous(params, z, shift, tol, worker, which, sign):
     moved = []
     for m in (shift, shift.conj):
         delta = m.to_bicomplex() if sign > 0 else -m.to_bicomplex()
-        moved.append(_replaced(params, which, 0, first[0] + delta))
+        moved.append(_replaced(params, which, first[0] + delta))
     for shifted in moved:
         hyper.check_domain(shifted, z)
     hyper.check_domain(params, z)
@@ -458,15 +453,11 @@ def _ode_component(a, b, z, count):
     return abs(res), bound
 
 
-def ode_residual(params: PfqParams, z: BiComplex, count: int) -> Hyperbolic:
-    """Hyperbolic magnitude of the differential operator applied to the
-    degree-`count` truncated series, via exact coefficient algebra."""
-    resid, _ = ode_residual_with_bound(params, z, count)
-    return resid
-
-
 def ode_residual_with_bound(params: PfqParams, z: BiComplex, count: int):
-    """(residual, dropped-term bound), both hyperbolic, componentwise."""
+    """(residual, dropped-term bound), both hyperbolic, componentwise:
+    the magnitude of the differential operator applied to the
+    degree-`count` truncated series, via exact coefficient algebra, and
+    the magnitude of its one surviving dropped term."""
     if count < 8:
         raise ValueError("truncation degree too small to be meaningful")
     z = BiComplex.coerce(z)

@@ -26,7 +26,9 @@ in Python complex, which rounds like numpy's scalar arithmetic; the
 ratio itself is a numpy division, ``np.complex128(num) / den``,
 because Python's complex division rounds differently.
 
-Status codes: 0 = stop rule met, 1 = cap reached.
+The stop rule of both sums: three consecutive terms below
+tol * |partial sum|, after at least MIN_TERMS terms.  Status codes:
+0 = stop rule met, 1 = cap reached.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ USE_NUMBA = False
 
 STATUS_OK = 0
 STATUS_CAP = 1
+
+# A single small term can be an accidental zero, not convergence: the
+# stop rule holds off for this many terms.
+MIN_TERMS = 8
 
 
 def ratio_parts(alphas, betas, n):
@@ -66,12 +72,11 @@ def _tail(alphas, betas, z, term, n):
     return np.where(below, tail, np.inf)
 
 
-def series_sum(alphas, betas, z, tol, cap, min_terms):
+def series_sum(alphas, betas, z, tol, cap):
     """Truncated sum of the component series at argument z.
 
     Stops once three consecutive terms fall below tol * |partial sum|
-    and at least min_terms terms have been added (a single small term
-    can be an accidental zero, not convergence).  Returns
+    and at least MIN_TERMS terms have been added.  Returns
     (value, terms_used, tail_estimate, status); the tail is ``_tail``.
     """
     total = term = 1.0 + 0.0j
@@ -84,7 +89,7 @@ def series_sum(alphas, betas, z, tol, cap, min_terms):
         n += 1
         if abs(term) <= tol * abs(total):
             below += 1
-            if below >= 3 and n >= min_terms:
+            if below >= 3 and n >= MIN_TERMS:
                 return total, n + 1, float(_tail(alphas, betas, z, term, n)), STATUS_OK
         else:
             below = 0
@@ -130,7 +135,7 @@ def term_ratio(alphas, betas, n):
     return np.complex128(num) / den
 
 
-def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
+def series_sum_many(alphas, betas, zs, tol, cap):
     """Vectorized ``series_sum`` over an array of arguments.
 
     Each element follows the scalar kernel's recurrence and stop rule;
@@ -158,7 +163,7 @@ def series_sum_many(alphas, betas, zs, tol, cap, min_terms=8):
         n += 1
         small = np.abs(term) <= tol * np.abs(total)
         below = np.where(small, below + 1, 0)
-        if n < min_terms:
+        if n < MIN_TERMS:
             continue
         done = below >= 3
         if done.any():

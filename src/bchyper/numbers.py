@@ -105,7 +105,9 @@ class BiComplex:
         return self.re1 == other.re1 and self.re2 == other.re2
 
     def __hash__(self):
-        return hash((self.re1, self.re2))
+        # equal values hash equal: a BiComplex with re2 == 0 equals the
+        # number re1, and a Hyperbolic equals its embedding
+        return hash(self.re1) if self.re2 == 0 else hash((self.re1, self.re2))
 
     def __repr__(self):
         return f"BiComplex({self.re1!r}, {self.re2!r})"
@@ -130,8 +132,8 @@ class BiComplex:
     def hnorm(self) -> "Hyperbolic":
         return Hyperbolic.from_idempotent(abs(self.idem1), abs(self.idem2))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm2() <= tol
+    def is_zero(self) -> bool:
+        return self.norm2() == 0.0
 
 
 class Hyperbolic:
@@ -197,13 +199,12 @@ class Hyperbolic:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, (Hyperbolic, int, float)):
-            return NotImplemented
-        other = Hyperbolic.coerce(other)
-        return self.x == other.x and self.y == other.y
+        # through the embedding, so equality with BiComplex and complex
+        # numbers agrees with BiComplex's own
+        return self.to_bicomplex().__eq__(other)
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return hash(self.to_bicomplex())
 
     def __repr__(self):
         return f"Hyperbolic({self.x!r}, {self.y!r})"
@@ -230,26 +231,10 @@ E1 = BiComplex(0.5, 0.5j)
 E2 = BiComplex(0.5, -0.5j)
 
 
-def add(a: BiComplex, b: BiComplex) -> BiComplex:
-    """Componentwise sum; acts componentwise in both views."""
-    return BiComplex.coerce(a) + BiComplex.coerce(b)
-
-
-def mul(a: BiComplex, b: BiComplex) -> BiComplex:
-    """Ring product (z*z1 - z'*z1', z'*z1 + z*z1'); idempotent view multiplies componentwise."""
-    return BiComplex.coerce(a) * BiComplex.coerce(b)
-
-
 def conjugates(a: BiComplex):
     """The three conjugations (bar, tilde, star) of a bicomplex number."""
     a = BiComplex.coerce(a)
     return a.conj_bar(), a.conj_tilde(), a.conj_star()
-
-
-def idempotent_split(a: BiComplex):
-    """Projections (z1, z2) = (z - i1*z', z + i1*z')."""
-    a = BiComplex.coerce(a)
-    return a.idem1, a.idem2
 
 
 def components(*values):
@@ -271,19 +256,19 @@ def from_idempotent(z1, z2) -> BiComplex:
     return BiComplex.from_idempotent(z1, z2)
 
 
-def in_null_cone(a: BiComplex, tol: float = NULL_TOL) -> bool:
+def in_null_cone(a: BiComplex) -> bool:
     """True when some idempotent component vanishes relative to the scale of a."""
     a = BiComplex.coerce(a)
     scale = max(1.0, a.norm2())
-    return abs(a.idem1) < tol * scale or abs(a.idem2) < tol * scale
+    return abs(a.idem1) < NULL_TOL * scale or abs(a.idem2) < NULL_TOL * scale
 
 
-def is_zero_divisor(a: BiComplex, tol: float = NULL_TOL) -> bool:
+def is_zero_divisor(a: BiComplex) -> bool:
     """Exactly one idempotent component is zero while a itself is not."""
     a = BiComplex.coerce(a)
     scale = max(1.0, a.norm2())
-    z1_zero = abs(a.idem1) < tol * scale
-    z2_zero = abs(a.idem2) < tol * scale
+    z1_zero = abs(a.idem1) < NULL_TOL * scale
+    z2_zero = abs(a.idem2) < NULL_TOL * scale
     return (z1_zero != z2_zero) and not a.is_zero()
 
 
@@ -382,7 +367,7 @@ def bc_pow(a: BiComplex, w) -> BiComplex:
     """Power a**w, principal branch per idempotent component.
 
     Integer exponents reduce to repeated multiplication so that
-    bc_pow(Z, 2) == mul(Z, Z) holds exactly.  Non-integer exponents
+    bc_pow(Z, 2) == Z * Z holds exactly.  Non-integer exponents
     require an invertible base off the negative real cut in both
     components.
     """

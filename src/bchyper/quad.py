@@ -358,9 +358,10 @@ def double_integral(
     return make_report(per_component(_double_comp, params, z, m, n, curve.nodes), tol)
 
 
-def beta_product_check(m, n, k: int, nodes: int = DEFAULT_NODES, tol: float = 1e-10) -> IdentityReport:
+def beta_product_check(m, n, k: int) -> IdentityReport:
     """Gamma-ratio moment identity behind the double representation:
-    direct quadrature of the two beta factors against the closed form."""
+    direct quadrature of the two beta factors (DEFAULT_NODES-point
+    rules) against the closed form, to a relative 1e-10."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     m = BiComplex.coerce(m)
@@ -369,12 +370,12 @@ def beta_product_check(m, n, k: int, nodes: int = DEFAULT_NODES, tol: float = 1e
     _positive_components(n, "n")
     sides = []
     for _, mc, nc in components(m, n):
-        tu, wu = jacobi_rule_01(nodes, mc - 1.0, nc + k)
-        tv, wv = jacobi_rule_01(nodes, nc - 1.0, float(k))
+        tu, wu = jacobi_rule_01(DEFAULT_NODES, mc - 1.0, nc + k)
+        tv, wv = jacobi_rule_01(DEFAULT_NODES, nc - 1.0, float(k))
         lhs = complex(np.sum(wu) * np.sum(wv))
         rhs = complex(
             complex_gamma(mc) * complex_gamma(nc) * complex_pochhammer(1.0, k)
             / (complex_gamma(mc + nc + 1.0) * complex_pochhammer(mc + nc + 1.0, k))
         )
         sides.append((lhs, rhs))
-    return make_report(sides, tol)
+    return make_report(sides, 1e-10)

@@ -187,7 +187,7 @@ def _classify_case(rng, o, case):
         good = cls.kind is ConvergenceKind.ENTIRE
     elif p == q + 1:
         good = cls.kind in (ConvergenceKind.UNIT_BALL, ConvergenceKind.UNIT_BALL_BOUNDARY)
-        if good and cls.margin is not None:
+        if good:
             # cartesian margin must agree with the idempotent exponents
             good = abs(cls.margin - min(cls.eta1, cls.eta2)) <= 1e-9 * max(
                 1.0, abs(cls.margin)

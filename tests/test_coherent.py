@@ -83,16 +83,39 @@ class TestTables:
         # factorial growth overflows rho past ~170; coefficients become 0
         tables = build_tables(GLAUBER)
         assert not np.isfinite(tables.rho1[-1])
-        assert tables.raw1[-1] == 0.0
+        assert tables.c1[-1] == 0.0
 
     def test_cached_tables_are_read_only(self):
         tables = build_tables(GLAUBER)
         before = tables.rho1.copy()
         with pytest.raises(ValueError):
             tables.rho1[1] = 123.0
-        for arr in (tables.rho1, tables.rho2, tables.f1, tables.f2, tables.raw1, tables.raw2):
+        for arr in (tables.rho1, tables.rho2, tables.f1, tables.f2, tables.c1, tables.c2):
             assert not arr.flags.writeable
         assert np.array_equal(build_tables(GLAUBER).rho1, before)
+
+    def test_normalization_is_summed_once_per_state(self, monkeypatch):
+        # build_tables stores the normalized coefficients; annihilate and
+        # inner_product read them instead of summing N again
+        import bchyper.coherent as coh
+        from bchyper import hyper
+
+        calls = []
+        original = hyper.pfq_components
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hyper, "pfq_components", counted)
+        coh.build_tables.cache_clear()
+        spec = CoherentSpec(PfqParams([1.3], [2.4]), from_idempotent(0.3, 0.5j))
+        build_tables(spec)
+        assert annihilate(spec).passed
+        overlap = inner_product(spec, spec)
+        assert abs(overlap.idem1 - 1.0) < 1e-12 and abs(overlap.idem2 - 1.0) < 1e-12
+        assert len(calls) == 1
+        coh.build_tables.cache_clear()
 
 
 class TestNormalization:

@@ -6,7 +6,6 @@ import pytest
 
 from bchyper import (
     BiComplex,
-    PochhammerTable,
     PoleError,
     bc_gamma,
     bc_pochhammer,
@@ -117,14 +116,6 @@ class TestPochhammer:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             bc_pochhammer(BiComplex(1.0), -1)
-
-    def test_table_recurrence(self):
-        base = from_idempotent(0.7 + 0.2j, 1.4 - 0.1j)
-        table = PochhammerTable(base, 10)
-        assert len(table) == 11
-        assert table[0] == BiComplex(1.0)
-        for n in range(10):
-            assert table[n + 1] == table[n] * (base + n)
 
 
 class TestDuplicationIdentities:

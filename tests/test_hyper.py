@@ -22,6 +22,7 @@ from bchyper import (
     pfq,
     pfq_value,
 )
+from bchyper import verify
 from bchyper.hyper import boundary_probe, per_component, ratio_radius_estimate
 from conftest import assert_bc_close, comp_rel_err
 
@@ -233,7 +234,7 @@ class TestDomain:
     def test_boundary_with_margin_allowed(self):
         # margin 2.8: terms decay like n^(-3.8), converges on the boundary
         params = PfqParams([0.3, 0.4], [3.5])
-        got = pfq_value(params, from_idempotent(-1.0, 0.5), tol=1e-9)
+        got = pfq(params, from_idempotent(-1.0, 0.5), tol=1e-9).value
         assert np.isfinite(got.norm2())
 
     def test_terminating_bypasses_region(self):
@@ -251,7 +252,7 @@ class TestDomain:
     def test_cap_exhaustion(self):
         params = PfqParams([0.3, 0.4], [3.5])
         with pytest.raises(NoConvergenceError):
-            pfq_value(params, from_idempotent(1.0, 0.5), tol=1e-15, cap=400)
+            pfq(params, from_idempotent(1.0, 0.5), tol=1e-15, cap=400)
 
 
 class TestRadiusLaw:
@@ -281,6 +282,16 @@ class TestBoundaryProbe:
         assert (not f2) or d2 > 1e-8
         # with eta < -1 the terms themselves do not tend to zero
         assert (not f1) or t1 > 1.0
+
+    def test_cap_below_two_is_rejected(self):
+        # the Cauchy window needs at least two terms
+        params = PfqParams([0.3, 0.4], [3.7])
+        z = from_idempotent(cmath.exp(0.7j), cmath.exp(-1.1j))
+        for cap in (0, 1):
+            with pytest.raises(ValueError, match="cap"):
+                boundary_probe(params, z, cap=cap)
+            with pytest.raises(ValueError, match="cap"):
+                verify.run_suite("thm2.2", samples=1, boundary=1, cap=cap)
 
     def test_boundary_majorant_exponent(self):
         # |terms| decay like n^-(eta+1) on the boundary: fit the exponent

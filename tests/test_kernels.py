@@ -15,13 +15,13 @@ EMPTY = np.empty(0, dtype=np.complex128)
 
 class TestScalarKernel:
     def test_exp_via_empty_params(self):
-        v, n, tail, status = kernels.series_sum(EMPTY, EMPTY, 0.3 + 0.1j, 1e-15, 1000, 8)
+        v, n, tail, status = kernels.series_sum(EMPTY, EMPTY, 0.3 + 0.1j, 1e-15, 1000)
         assert status == kernels.STATUS_OK
         assert abs(v - np.exp(0.3 + 0.1j)) < 1e-15
         assert tail < 1e-15
 
     def test_cap_status(self):
-        _, _, _, status = kernels.series_sum(GAUSS_A, GAUSS_B, 0.9 + 0j, 1e-15, 20, 8)
+        _, _, _, status = kernels.series_sum(GAUSS_A, GAUSS_B, 0.9 + 0j, 1e-15, 20)
         assert status == kernels.STATUS_CAP
 
     def test_terminating(self):
@@ -48,7 +48,7 @@ class TestManyKernel:
             GAUSS_A, GAUSS_B, zs, 1e-15, 10_000
         )
         for i, z in enumerate(zs):
-            v, n, t, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, 10_000, 8)
+            v, n, t, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, 10_000)
             assert abs(values[i] - v) <= 4 * np.spacing(abs(v))
             assert counts[i] == n
             assert statuses[i] == s
@@ -63,7 +63,7 @@ class TestManyKernel:
                 GAUSS_A, GAUSS_B, zs, 1e-15, cap
             )
             for i, z in enumerate(zs):
-                v, n, t, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, cap, 8)
+                v, n, t, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, cap)
                 assert counts[i] == n and statuses[i] == s, (cap, abs(z))
                 # numpy's complex multiply rounds differently from Python's,
                 # and a lane's sum and last term carry the rounding of n
@@ -123,7 +123,7 @@ class TestPinnedBits:
             arrays = tuple(np.array(x, dtype=np.complex128) for x in (a, b))
             for vectors in ((a, b), arrays):
                 label = (i, type(vectors[0]).__name__)
-                v, n, _, status = kernels.series_sum(*vectors, z, 1e-15, 10_000, 8)
+                v, n, _, status = kernels.series_sum(*vectors, z, 1e-15, 10_000)
                 got = {"value": self._hex(v), "terms": n, "status": status}
                 assert got == case["series_sum"], label
                 got = self._hex(kernels.series_sum_terminating(*vectors, z, 12))

@@ -20,7 +20,6 @@ from bchyper import (
     HOrder,
     Hyperbolic,
     NullConeError,
-    add,
     bc_exp,
     bc_pow,
     conjugates,
@@ -28,11 +27,9 @@ from bchyper import (
     from_idempotent,
     from_json_dict,
     h_less,
-    idempotent_split,
     in_null_cone,
     inverse,
     is_zero_divisor,
-    mul,
     norms,
     parse_bicomplex,
     to_json_dict,
@@ -99,17 +96,17 @@ class TestConjugations:
 class TestIdempotentSplit:
     def test_complex_diagonal(self):
         z = BiComplex(0.7 - 0.2j, 0.0)
-        assert idempotent_split(z) == (0.7 - 0.2j, 0.7 - 0.2j)
+        assert (z.idem1, z.idem2) == (0.7 - 0.2j, 0.7 - 0.2j)
 
     def test_split_e1(self):
-        assert idempotent_split(E1) == (1 + 0j, 0j)
+        assert (E1.idem1, E1.idem2) == (1 + 0j, 0j)
 
     def test_split_i2(self):
-        assert idempotent_split(I2) == (-1j, 1j)
+        assert (I2.idem1, I2.idem2) == (-1j, 1j)
 
     def test_round_trip(self):
         z = BiComplex(1.3 - 0.4j, 0.2 + 2.1j)
-        z1, z2 = idempotent_split(z)
+        z1, z2 = z.idem1, z.idem2
         back = from_idempotent(z1, z2)
         assert abs(back.re1 - z.re1) <= 1e-15 * abs(z.re1)
         assert abs(back.re2 - z.re2) <= 1e-15 * abs(z.re2)
@@ -120,6 +117,20 @@ class TestIdempotentSplit:
         z = BiComplex(1.3 - 0.4j, 0.2 + 2.1j)
         assert components(z, I2, 4.0) == ((1, z.idem1, -1j, 4.0), (2, z.idem2, 1j, 4.0))
         assert components() == ((1,), (2,))
+
+
+class TestHashing:
+    def test_equal_values_hash_equal(self):
+        assert BiComplex(1.0) == 1
+        assert 1 in {BiComplex(1.0)}
+        assert BiComplex(2.5 - 1j) in {2.5 - 1j}
+        h, z = Hyperbolic(1, 0.5), BiComplex(1, 0.5j)
+        assert h == z
+        assert len({h, z}) == 1
+        assert Hyperbolic(3.0) in {3, BiComplex(3.0)}
+        # equality is transitive through the embedding
+        assert Hyperbolic(1.0) == BiComplex(1.0) == 1 + 0j
+        assert Hyperbolic(1.0) == 1 + 0j and Hyperbolic(1.0, 0.5) != 1 + 0j
 
 
 class TestInverse:
@@ -299,12 +310,6 @@ class TestRingProperties:
         scale = np.spacing(2.0 * a.norm2() * b.norm2())
         assert abs(got.comp1 - want.comp1) <= 16 * scale
         assert abs(got.comp2 - want.comp2) <= 16 * scale
-
-    def test_module_level_wrappers(self):
-        a = BiComplex(1, 2)
-        b = BiComplex(3, -1)
-        assert add(a, b) == a + b
-        assert mul(a, b) == a * b
 
 
 class TestSerialization:
