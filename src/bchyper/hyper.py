@@ -29,6 +29,8 @@ BOUNDARY_BAND = 1e-12
 BOUNDARY_MARGIN = 1e-9
 # Trailing terms over which boundary_probe takes its Cauchy delta.
 PROBE_WINDOW = 100
+# Term ratios the oracle builds at first; it doubles the array as needed.
+ORACLE_BLOCK = 64
 
 
 class ConvergenceKind(enum.Enum):
@@ -284,27 +286,36 @@ def hyp1f0(v, z) -> BiComplex:
 def oracle_pfq_complex(a_list, b_list, z: complex) -> complex:
     """Independent classical complex series, the componentwise oracle.
 
-    Every term is rebuilt from scratch as a product of per-index
-    ratios (numpy prod over a fresh array), deliberately not sharing
-    the kernel's running recurrence, so rounding paths differ.  Same
-    stop rule as the kernels, at DEFAULT_TOL within DEFAULT_CAP terms:
-    three consecutive terms below tol * |sum|, at least
-    ``kernels.MIN_TERMS`` terms.
+    Deliberately not the kernels' running recurrence, so rounding
+    paths differ: the per-index ratios z * prod(a + k) / ((k + 1) *
+    prod(b + k)) are built as numpy arrays, and term n is the numpy
+    product of the first n of them, taken as one ``np.cumprod`` (a
+    cumprod prefix rounds exactly as ``np.prod`` over it).  The ratio
+    array starts at ORACLE_BLOCK entries and doubles while more terms
+    are needed.  Same stop rule as the kernels, at DEFAULT_TOL within
+    DEFAULT_CAP terms: three consecutive terms below tol * |sum|, at
+    least ``kernels.MIN_TERMS`` terms.
     """
     a, b = list(a_list), list(b_list)
     z = complex(z)
     total = 1.0 + 0.0j
     below = 0
+    terms = []
     n = 1
     while n <= DEFAULT_CAP:
-        k = np.arange(n, dtype=np.float64)
-        num = np.ones(n, dtype=np.complex128)
-        for ai in a:
-            num = num * (ai + k)
-        den = (k + 1.0).astype(np.complex128)
-        for bj in b:
-            den = den * (bj + k)
-        term = complex(np.prod(z * num / den))
+        if n > len(terms):
+            k = np.arange(min(max(2 * len(terms), ORACLE_BLOCK), DEFAULT_CAP), dtype=np.float64)
+            # ratios and terms past the stopping one may overflow; that
+            # changes none before it, so it is not worth a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                num = np.ones(k.size, dtype=np.complex128)
+                for ai in a:
+                    num = num * (ai + k)
+                den = (k + 1.0).astype(np.complex128)
+                for bj in b:
+                    den = den * (bj + k)
+                terms = np.cumprod(z * num / den).tolist()
+        term = terms[n - 1]
         total += term
         if abs(term) <= DEFAULT_TOL * abs(total):
             below += 1

@@ -322,7 +322,27 @@ def _poch_ratio_products(a, b, s):
     return num / den
 
 
-def _binomial_sum(a, b, z, shift, base):
+def _sums_at(z):
+    """F(alphas, betas) = _F(alphas, betas, z), each distinct parameter
+    set summed once.
+
+    A contiguous relation's two shifts share the sums F(a+s; b+s; z),
+    and a shift of 0 (or m = n) repeats a sum of the other side.  Each
+    component worker makes one of these and passes it to its helpers;
+    it lives as long as that worker call.
+    """
+    sums = {}
+
+    def F(alphas, betas):
+        key = (tuple(alphas), tuple(betas))
+        if key not in sums:
+            sums[key] = _F(alphas, betas, z)
+        return sums[key]
+
+    return F
+
+
+def _binomial_sum(F, a, b, z, shift, base):
     """sum_s C(shift, s) / (base)_s * prod (a)_s / prod (b)_s * z^s
     * F(a + s; b + s; z), the right side shared by the alpha-plus and
     beta-minus relations for one shift."""
@@ -332,36 +352,40 @@ def _binomial_sum(a, b, z, shift, base):
         if abs(gr) < NULL_TOL:
             raise PoleError("gamma-ratio prefactor hits a pole")
         weight = math.comb(shift, s) / gr * _poch_ratio_products(a, b, s)
-        acc += weight * z**s * _F([x + s for x in a], [x + s for x in b], z)
+        acc += weight * z**s * F([x + s for x in a], [x + s for x in b])
     return acc
 
 
 def contiguous_alpha_plus_comp(a, b, z, m, n):
-    lhs = _F([a[0] + m] + a[1:], b, z) + _F([a[0] + n] + a[1:], b, z)
-    return lhs, _binomial_sum(a, b, z, m, a[0]) + _binomial_sum(a, b, z, n, a[0])
+    F = _sums_at(z)
+    lhs = F([a[0] + m] + a[1:], b) + F([a[0] + n] + a[1:], b)
+    return lhs, _binomial_sum(F, a, b, z, m, a[0]) + _binomial_sum(F, a, b, z, n, a[0])
 
 
 def contiguous_alpha_minus_comp(a, b, z, m, n):
-    lhs = _F([a[0] - m] + a[1:], b, z) + _F([a[0] - n] + a[1:], b, z)
+    F = _sums_at(z)
+    lhs = F([a[0] - m] + a[1:], b) + F([a[0] - n] + a[1:], b)
 
     def one(shift):
         acc = 0.0 + 0j
         for s in range(shift + 1):
             weight = math.comb(shift, s) * _poch_ratio_products(a[1:], b, s)
-            acc += weight * (-z) ** s * _F([a[0]] + [x + s for x in a[1:]], [x + s for x in b], z)
+            acc += weight * (-z) ** s * F([a[0]] + [x + s for x in a[1:]], [x + s for x in b])
         return acc
 
     return lhs, one(m) + one(n)
 
 
 def contiguous_beta_minus_comp(a, b, z, m, n):
-    lhs = _F(a, [b[0] - m] + b[1:], z) + _F(a, [b[0] - n] + b[1:], z)
-    return lhs, _binomial_sum(a, b, z, m, b[0] - m) + _binomial_sum(a, b, z, n, b[0] - n)
+    F = _sums_at(z)
+    lhs = F(a, [b[0] - m] + b[1:]) + F(a, [b[0] - n] + b[1:])
+    return lhs, _binomial_sum(F, a, b, z, m, b[0] - m) + _binomial_sum(F, a, b, z, n, b[0] - n)
 
 
 def contiguous_beta_plus_comp(a, b, z, m, n):
-    lhs = _F(a, [b[0] + m] + b[1:], z) + _F(a, [b[0] + n] + b[1:], z)
-    base = _F(a, b, z)
+    F = _sums_at(z)
+    lhs = F(a, [b[0] + m] + b[1:]) + F(a, [b[0] + n] + b[1:])
+    base = F(a, b)
     num, tail_den = kernels.ratio_parts(a, b[1:], 0)  # prod(a), prod(b[1:])
 
     def one(shift):
@@ -373,7 +397,7 @@ def contiguous_beta_plus_comp(a, b, z, m, n):
             if abs(den) < NULL_TOL * max(1.0, abs(num)):
                 raise NullConeError("beta-shift denominator vanishes")
             weight = np.complex128(num) / den
-            acc += weight * _F([x + 1 for x in a], [b[0] + s + 1] + [x + 1 for x in b[1:]], z)
+            acc += weight * F([x + 1 for x in a], [b[0] + s + 1] + [x + 1 for x in b[1:]])
         return acc
 
     rhs = 2.0 * base - z * one(m) - z * one(n)

@@ -23,7 +23,7 @@ from bchyper import (
     pfq_value,
 )
 from bchyper import verify
-from bchyper.hyper import boundary_probe, per_component, ratio_radius_estimate
+from bchyper.hyper import ORACLE_BLOCK, boundary_probe, per_component, ratio_radius_estimate
 from conftest import assert_bc_close, comp_rel_err
 
 
@@ -214,6 +214,59 @@ class TestOracle:
             got = pfq_value(params, BiComplex(z))
             want = oracle_pfq_complex(alphas, betas, z)
             assert comp_rel_err(got.idem1, want) < 1e-12
+
+
+def _quadratic_oracle(a, b, z):
+    """The oracle as it was first written, every term rebuilt from a
+    fresh array in O(n): (value, terms summed)."""
+    total = 1.0 + 0.0j
+    below = 0
+    n = 1
+    while n <= 10_000:
+        k = np.arange(n, dtype=np.float64)
+        num = np.ones(n, dtype=np.complex128)
+        for ai in a:
+            num = num * (ai + k)
+        den = (k + 1.0).astype(np.complex128)
+        for bj in b:
+            den = den * (bj + k)
+        term = complex(np.prod(z * num / den))
+        total += term
+        if abs(term) <= 1e-15 * abs(total):
+            below += 1
+            if below >= 3 and n >= 8:
+                return total, n
+        else:
+            below = 0
+        n += 1
+    raise NoConvergenceError("no convergence")
+
+
+class TestOracleBits:
+    def test_equals_the_quadratic_loop(self):
+        rng = np.random.default_rng(77)
+        # "long": more terms than the first ratio array holds
+        shapes = {"terminating": 0, "zero z": 0, "long": 0}
+        for i in range(600):
+            p, q = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+            alphas = [complex(rng.uniform(0.2, 2.4), rng.uniform(-0.5, 0.5)) for _ in range(p)]
+            betas = [complex(rng.uniform(0.3, 2.4), rng.uniform(-0.5, 0.5)) for _ in range(q)]
+            if p and i % 5 == 0:
+                alphas[0] = complex(-int(rng.integers(0, 7)))
+                shapes["terminating"] += 1
+            if p > q + 1 or i % 9 == 0:
+                z = 0j
+                shapes["zero z"] += 1
+            else:
+                r = rng.uniform(0.0, 0.95 if p == q + 1 else 3.0)
+                z = r * cmath.exp(2j * math.pi * rng.uniform(0, 1))
+            want, terms = _quadratic_oracle(alphas, betas, z)
+            shapes["long"] += terms > ORACLE_BLOCK
+            got = oracle_pfq_complex(alphas, betas, z)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (
+                alphas, betas, z,
+            )
+        assert min(shapes.values()) >= 20, shapes
 
 
 class TestDomain:

@@ -22,7 +22,7 @@ from bchyper import (
     quad_odd,
     saalschutz,
 )
-from bchyper import identities, verify
+from bchyper import hyper, identities, verify
 from bchyper.hyper import per_component, pfq_value
 
 GAUSS = PfqParams([0.7, 1.2], [1.9])
@@ -222,6 +222,36 @@ class TestContiguous:
     def test_alpha_relations_need_alpha(self):
         with pytest.raises(InvalidParamsError):
             contiguous_alpha_plus(PfqParams([], [1.5]), self.Z, ShiftM(1, 0))
+
+
+    def test_each_distinct_sum_once(self, monkeypatch):
+        # The two shifts of a relation share the sums F(a+s; b+s; z), a
+        # shift of 0 leaves the moved parameter where it was, and m = n
+        # repeats the left side: each (parameters, z) is summed once.
+        calls = []
+        summed = hyper.component_series
+
+        def counting(alphas, betas, z, *args):
+            calls.append((tuple(alphas), tuple(betas), complex(z)))
+            return summed(alphas, betas, z, *args)
+
+        monkeypatch.setattr(hyper, "component_series", counting)
+        z = from_idempotent(0.2 + 0.1j, 0.3 - 0.05j)
+        a = [BiComplex(0.7, 0.1), BiComplex(1.2, -0.05)]
+        b = [BiComplex(3.9, 0.2), BiComplex(4.4)]
+        relations = {
+            contiguous_alpha_plus: ((1, 1), (2, 1), (1, 0)),
+            contiguous_alpha_minus: ((1, 1), (2, 1), (1, 0)),
+            contiguous_beta_minus: ((1, 1), (2, 1), (0, 1)),
+            contiguous_beta_plus: ((1, 1), (2, 1), (0, 1)),
+        }
+        for op, shapes in relations.items():
+            for p, q in shapes:
+                for m, n in ((2, 2), (0, 0), (3, 1), (0, 2)):
+                    calls.clear()
+                    rep = op(PfqParams(a[:p], b[:q]), z, ShiftM(m, n))
+                    assert rep.passed, (op.__name__, p, q, m, n)
+                    assert calls and len(calls) == len(set(calls)), (op.__name__, p, q, m, n)
 
 
 class TestOde:

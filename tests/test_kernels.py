@@ -1,12 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from bchyper import kernels
+from bchyper import BiComplex, NoConvergenceError, PfqParams, kernels, pfq
 
 GAUSS_A = np.array([0.7 + 0.1j, 1.2 - 0.05j], dtype=np.complex128)
 GAUSS_B = np.array([1.9 + 0.2j], dtype=np.complex128)
@@ -94,6 +96,47 @@ class TestCoeffTable:
         for n in (0, 7, 23, 49):
             ratio = kernels.term_ratio(GAUSS_A, GAUSS_B, float(n))
             assert abs(c[n + 1] - c[n] * ratio) <= 2 * np.spacing(abs(c[n + 1]))
+
+
+def _same_bits(got: complex, want: complex) -> bool:
+    """Equal float bits part by part; a nan matches any nan."""
+    return all(
+        (math.isnan(g) and math.isnan(w)) or g.hex() == w.hex()
+        for g, w in ((got.real, want.real), (got.imag, want.imag))
+    )
+
+
+class TestOverflow:
+    """Sums whose terms or partial sums overflow: numpy's scalar
+    arithmetic gives inf and nan, and the stop rule ends the sum."""
+
+    def test_overflowing_sums_keep_their_results(self):
+        cases = [
+            (((), (), 800), (math.inf, math.nan), 461),
+            (((0.5,), (1.5,), 900), (math.inf, math.nan), 398),
+            (((), (), 600 + 600j), (-math.inf, math.nan), 421),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (a, b, z), want, terms in cases:
+                v, n, tail, status = kernels.series_sum(a, b, z, 1e-15, 10_000)
+                assert _same_bits(v, complex(*want)) and n == terms, (z, v, n)
+                assert tail == math.inf and status == kernels.STATUS_OK
+
+    def test_finite_sum_whose_modulus_overflows(self):
+        # the partial sums of exp at |z| = 714 pass through finite values
+        # whose modulus exceeds the float64 range (Python's abs() raises
+        # OverflowError on them); numpy's abs gives inf, which the stop
+        # test compares
+        z = complex(float.fromhex("0x1.f8dfce4ef6e65p+8"), float.fromhex("0x1.f8dfce4ef6e63p+8"))
+        want = complex(float.fromhex("0x1.c56bbdfa60716p+1022"), -float.fromhex("0x1.f9107ff586ac6p+1023"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, n, tail, status = kernels.series_sum((), (), z, 1e-15, 10_000)
+        assert _same_bits(v, want) and n == 697, (v, n)
+        assert tail == math.inf and status == kernels.STATUS_OK
+
+    def test_pfq_reports_the_overflow(self):
+        with pytest.raises(NoConvergenceError), np.errstate(over="ignore", invalid="ignore"):
+            pfq(PfqParams([], []), BiComplex(800.0))
 
 
 class TestPinnedBits:
