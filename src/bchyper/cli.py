@@ -224,7 +224,7 @@ def _cmd_coherent(args) -> int:
     z = parse_bicomplex(args.z)
     spec = coherent_mod.CoherentSpec(params, z, truncation=args.nmax)
     tables = coherent_mod.build_tables(spec)
-    c1, c2 = coherent_mod.coefficient_arrays(spec)
+    c1, c2 = tables.c1, tables.c2
     lines = ["n,rho1,rho2,f1,f2,cn2_1,cn2_2"]
     for n in range(tables.nmax + 1):
         f1 = float(tables.f1[n]) if n < tables.nmax else float("nan")

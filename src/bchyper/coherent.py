@@ -199,13 +199,6 @@ def state_coefficients(spec: CoherentSpec):
     return [BiComplex.from_idempotent(u, v) for u, v in zip(c1, c2)]
 
 
-def coefficient_arrays(spec: CoherentSpec):
-    """(c1, c2) normalized component coefficient arrays (fast path for
-    sweeps), the read-only arrays of the cached tables."""
-    tables = build_tables(spec)
-    return tables.c1, tables.c2
-
-
 def inner_product(spec_a: CoherentSpec, spec_b: CoherentSpec) -> BiComplex:
     """Overlap of two states with identical parameters.
 
@@ -216,11 +209,10 @@ def inner_product(spec_a: CoherentSpec, spec_b: CoherentSpec) -> BiComplex:
     """
     if spec_a.params != spec_b.params:
         raise ParamMismatchError("states have different parameter vectors")
-    ca1, ca2 = coefficient_arrays(spec_a)
-    cb1, cb2 = coefficient_arrays(spec_b)
-    k = min(len(ca1), len(cb1))
-    v1 = complex(np.sum(np.conj(ca1[:k]) * cb1[:k]))
-    v2 = complex(np.sum(np.conj(ca2[:k]) * cb2[:k]))
+    a, b = build_tables(spec_a), build_tables(spec_b)
+    k = min(len(a.c1), len(b.c1))
+    v1 = complex(np.sum(np.conj(a.c1[:k]) * b.c1[:k]))
+    v2 = complex(np.sum(np.conj(a.c2[:k]) * b.c2[:k]))
     return BiComplex.from_idempotent(v1, v2)
 
 

@@ -4,6 +4,12 @@ The series is evaluated in the idempotent basis: the bicomplex sum is
 exactly the pair of classical complex sums run on the component
 parameters, glued by e1/e2.  The two components are summed
 independently with independent truncation depths.
+
+``check_component`` is the one domain-and-pole gate: ``component_series``
+runs it on every classical component sum it takes, so a relation that
+sums shifted or halved parameter sets is gated by the sums themselves.
+``check_domain`` is the same gate on both components of a bicomplex
+argument.
 """
 
 from __future__ import annotations
@@ -98,12 +104,6 @@ class PfqParams:
         """Component s (1 or 2) of the betas, a tuple of Python complex."""
         return self._comp_betas[s - 1]
 
-    def shifted(self, dalpha=0, dbeta=0) -> "PfqParams":
-        """All alphas shifted by dalpha and all betas by dbeta."""
-        return PfqParams(
-            [a + dalpha for a in self.alphas], [b + dbeta for b in self.betas]
-        )
-
 
 def per_component(worker, params: PfqParams, *values) -> list:
     """[worker(alphas_s, betas_s, *values_s) for s = 1, 2].
@@ -163,25 +163,42 @@ def termination_index(comp_alphas) -> int | None:
     return best
 
 
-def _check_component_domain(kind: ConvergenceKind, r: float, margin, label: str):
-    if kind is ConvergenceKind.ENTIRE:
-        return
-    if kind is ConvergenceKind.DIVERGENT:
+def check_component(alphas, betas, z: complex, label: str = "") -> int | None:
+    """The one gate of a classical component sum; returns its
+    termination degree (None for an unending series).
+
+    Raises InvalidParamsError when a denominator parameter sits at a
+    nonpositive integer -m that the sum reaches: any m for an unending
+    series, m below the degree for a terminating one.  Raises
+    DomainError when an unending series is taken outside the region
+    of its shape (p versus q); on the unit circle the series needs
+    Re(sum(betas) - sum(alphas)) > BOUNDARY_MARGIN, asked of this
+    component alone.  `label` names the component in the messages.
+    """
+    k = termination_index(alphas)
+    where = f" (component {label})" if label else ""
+    for b in betas:
+        m = nearest_nonpositive_int(b)
+        if m is not None and (k is None or m < k):
+            raise InvalidParamsError(f"denominator parameter {b} is a pole of the sum{where}")
+    p, q = len(alphas), len(betas)
+    if k is not None or p <= q:
+        return k
+    r = abs(z)
+    if p > q + 1:
         if r > 0.0:
-            raise DomainError(
-                f"series with p > q+1 diverges for nonzero argument (component {label})"
-            )
-        return
+            raise DomainError(f"series with p > q+1 diverges for nonzero argument{where}")
+        return None
     if r < 1.0 - BOUNDARY_BAND:
-        return
-    if r <= 1.0 + BOUNDARY_BAND:
-        if kind is ConvergenceKind.UNIT_BALL_BOUNDARY and margin > BOUNDARY_MARGIN:
-            return
-        raise DomainError(
-            f"boundary evaluation needs the convergence inequality with margin"
-            f" > {BOUNDARY_MARGIN} (component {label}, |z| = {r})"
-        )
-    raise DomainError(f"component {label} argument has modulus {r} >= 1")
+        return None
+    if r > 1.0 + BOUNDARY_BAND:
+        raise DomainError(f"argument has modulus {r} >= 1{where}")
+    if (sum(betas) - sum(alphas)).real > BOUNDARY_MARGIN:
+        return None
+    raise DomainError(
+        f"boundary evaluation needs the convergence inequality with margin"
+        f" > {BOUNDARY_MARGIN} at |z| = {r}{where}"
+    )
 
 
 def component_series(
@@ -193,12 +210,12 @@ def component_series(
 ):
     """One classical component sum via the kernel, (value, terms, tail).
 
-    Terminating series (nonpositive-integer numerator parameter) are
-    summed exactly with the cap and tail logic bypassed.  No region
-    check: callers gate the domain.
+    Gated by ``check_component`` before the kernel runs.  Terminating
+    series (nonpositive-integer numerator parameter) are summed exactly
+    with the cap and tail logic bypassed.
     """
     z = complex(z)
-    k = termination_index(comp_alphas)
+    k = check_component(comp_alphas, comp_betas, z)
     if k is not None:
         value = kernels.series_sum_terminating(comp_alphas, comp_betas, z, k)
         return value, k + 1, 0.0
@@ -224,7 +241,7 @@ def pfq(
     class (boundary points need the convergence inequality to hold
     with margin) and NoConvergenceError when the term cap is hit.
     Terminating components are exempt from the region check.  Both
-    components are gated before either is summed.
+    components are gated (``check_domain``) before either is summed.
     """
     z = BiComplex.coerce(z)
     cls = check_domain(params, z)
@@ -242,26 +259,26 @@ def pfq_value(params, z) -> BiComplex:
 
 
 def check_domain(params: PfqParams, z: BiComplex) -> ConvergenceClass:
-    """Raise DomainError when z lies outside the region for these
-    parameters; return their ``classify`` class otherwise.
+    """``check_component`` on both components of z, then the
+    ``classify`` class of the parameters.
 
-    Terminating components (polynomial case) are exempt.
+    The gate itself is ``check_component``, which every component sum
+    runs again; this runs it on both components before either is
+    summed, so the first component's sum is not wasted on an argument
+    whose second component is out of bounds.
     """
-    z = BiComplex.coerce(z)
-    cls = classify(params)
-    for s, zc in components(z):
-        if termination_index(params.comp_alphas(s)) is None:
-            _check_component_domain(cls.kind, abs(zc), cls.margin, str(s))
-    return cls
+    for s, zc in components(BiComplex.coerce(z)):
+        check_component(params.comp_alphas(s), params.comp_betas(s), zc, str(s))
+    return classify(params)
 
 
 def pfq_components(params: PfqParams, z: BiComplex):
     """The two raw component sums (z1-side, z2-side) without gluing.
 
-    The same gate and sums as ``pfq``: ``check_domain`` on both
-    components, then ``per_component(component_series, ...)``, of
-    which only the values are kept (``pfq`` also returns the term
-    counts and tail bounds).
+    The same gate and sums as ``pfq``: ``check_domain`` (that is,
+    ``check_component``) on both components, then
+    ``per_component(component_series, ...)``, of which only the values
+    are kept (``pfq`` also returns the term counts and tail bounds).
     """
     z = BiComplex.coerce(z)
     check_domain(params, z)

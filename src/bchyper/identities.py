@@ -4,7 +4,10 @@ Every relation here factorizes over the idempotent basis, so each
 operation runs a classical complex worker on both component parameter
 sets and glues the two sides with e1/e2 at the very end.  Reports
 carry both sides, the componentwise relative residual as a hyperbolic
-number, and a pass flag against the requested tolerance.
+number, and a pass flag against the requested tolerance.  Every
+component sum a worker takes is gated as it is taken (by
+``hyper.check_component``), so no relation gates its shifted, moved or
+halved parameter sets by hand.
 
 Factorials of bicomplex quantities appearing in the parameter-shift
 relations are read as gamma ratios, realized as reciprocal rising
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import hyper, kernels
 from .errors import InvalidParamsError, NullConeError, PoleError
-from .gamma import complex_pochhammer, nearest_nonpositive_int
+from .gamma import complex_pochhammer
 from .hyper import PfqParams, per_component
 from .kernels import coeff_table
 from .numbers import NULL_TOL, BiComplex, Hyperbolic, components
@@ -53,9 +56,6 @@ class ShiftM:
     def conj(self) -> "ShiftM":
         return ShiftM(self.n, self.m)
 
-    def to_bicomplex(self) -> BiComplex:
-        return BiComplex.from_idempotent(self.m, self.n)
-
     @property
     def idem1(self) -> int:
         return self.m
@@ -84,7 +84,7 @@ def make_report(sides, tol) -> IdentityReport:
 
 
 def _F(alphas, betas, z) -> complex:
-    """Classical component sum, no domain gate (callers gate)."""
+    """Classical component sum, gated by ``hyper.check_component``."""
     return hyper.component_series(alphas, betas, z)[0]
 
 
@@ -93,22 +93,12 @@ def _F(alphas, betas, z) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _halved_shape(params: PfqParams, offset: int) -> PfqParams:
-    """Parameters of the quadratic-transform series: (alpha + offset)/2,
-    (alpha + offset + 1)/2 over (2*offset + 1)/2, (beta + offset)/2,
-    (beta + offset + 1)/2; offset 0 is the even transform, 1 the odd."""
-    half = BiComplex(0.5)
-    return PfqParams(
-        [(a + k) * half for k in (offset, offset + 1) for a in params.alphas],
-        [BiComplex(offset + 0.5)]
-        + [(b + k) * half for k in (offset, offset + 1) for b in params.betas],
-    )
-
-
 def _quadratic_comp(a, b, z, scale, offset, pre):
     """(lhs, rhs) of a component quadratic transform: pre times the
     halved-shape series at z^2 / scale against F(z) + F(-z) (offset 0)
-    or F(z) - F(-z) (offset 1)."""
+    or F(z) - F(-z) (offset 1).  The halved shape is (a + offset)/2,
+    (a + offset + 1)/2 over (2*offset + 1)/2, (b + offset)/2,
+    (b + offset + 1)/2."""
     ha = [(x + k) / 2 for k in (offset, offset + 1) for x in a]
     hb = [offset + 0.5 + 0j] + [(x + k) / 2 for k in (offset, offset + 1) for x in b]
     lhs = pre * _F(ha, hb, z * z / scale)
@@ -129,14 +119,9 @@ def quad_odd_comp(a, b, z, scale):
     return _quadratic_comp(a, b, z, scale, 1, 2.0 * z * np.complex128(num) / den)
 
 
-def _quadratic(params, z, tol, offset, worker) -> IdentityReport:
-    z = BiComplex.coerce(z)
-    derived = _halved_shape(params, offset)  # InvalidParamsError on bad halved betas
+def _quadratic(params, z, tol, worker) -> IdentityReport:
     scale = 4.0 ** (params.q + 1 - params.p)
-    hyper.check_domain(params, z)
-    squared = BiComplex.from_idempotent(*(zc * zc / scale for _, zc in components(z)))
-    hyper.check_domain(derived, squared)
-    return make_report(per_component(worker, params, z, scale), tol)
+    return make_report(per_component(worker, params, BiComplex.coerce(z), scale), tol)
 
 
 def quad_even(
@@ -144,14 +129,14 @@ def quad_even(
 ) -> IdentityReport:
     """Even quadratic transform: doubled-shape series at Z^2 / 4^(q+1-p)
     against the sum of the base series at Z and -Z."""
-    return _quadratic(params, z, tol, 0, quad_even_comp)
+    return _quadratic(params, z, tol, quad_even_comp)
 
 
 def quad_odd(
     params: PfqParams, z: BiComplex, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """Odd quadratic transform with the 2*Z*prod(alphas)/prod(betas) prefactor."""
-    return _quadratic(params, z, tol, 1, quad_odd_comp)
+    return _quadratic(params, z, tol, quad_odd_comp)
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +163,15 @@ def saalschutz_comp(n, a1, a2, b):
 def saalschutz(
     n: int, a1, a2, b, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
-    """Terminating balanced 3F2 at unit argument against its pochhammer closed form."""
+    """Terminating balanced 3F2 at unit argument against its pochhammer
+    closed form; a denominator parameter that vanishes inside the n+1
+    terms raises InvalidParamsError."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     a1 = BiComplex.coerce(a1)
     a2 = BiComplex.coerce(a2)
     b = BiComplex.coerce(b)
-    # The second denominator parameter must not truncate the n+1 exact terms.
-    for w in (b, 1 - b + a1 + a2 - n):
-        for _, comp in components(w):
-            if _nonpos_int_leq(comp, n - 1) is not None:
-                raise NullConeError(f"denominator parameter {comp} hits zero inside the sum")
     return make_report([saalschutz_comp(*vals) for _, *vals in components(n, a1, a2, b)], tol)
-
-
-def _nonpos_int_leq(w: complex, bound: int):
-    """n >= 0 with w ~ -n and n <= bound, else None."""
-    n = nearest_nonpositive_int(w)
-    if n is not None and n <= bound:
-        return n
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +208,7 @@ def derivative_relation(
     pochhammer-prefactored series with all parameters shifted by k."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    z = BiComplex.coerce(z)
-    shifted = params.shifted(dalpha=k, dbeta=k)  # InvalidParamsError on bad betas
-    hyper.check_domain(params, z)
-    hyper.check_domain(shifted, z)
-    return make_report(per_component(derivative_comp, params, z, k), tol)
+    return make_report(per_component(derivative_comp, params, BiComplex.coerce(z), k), tol)
 
 
 def _replaced(params: PfqParams, which: str, value) -> PfqParams:
@@ -407,50 +377,43 @@ def contiguous_beta_plus_comp(a, b, z, m, n):
 _KIND = {"alphas": "numerator", "betas": "denominator"}
 
 
-def _contiguous(params, z, shift, tol, worker, which, sign):
-    """Shared body: the first parameter of `which` ("alphas" or "betas")
-    moves by sign*M and sign*conj(M); gate both moved sets and glue."""
-    first = getattr(params, which)
-    if not first:
+def _contiguous(params, z, shift, tol, worker, which):
+    """Shared body: the relation moves the first parameter of `which`
+    ("alphas" or "betas") by M and conj(M); glue its components."""
+    if not getattr(params, which):
         raise InvalidParamsError(f"relation needs at least one {_KIND[which]} parameter")
-    z = BiComplex.coerce(z)
-    moved = []
-    for m in (shift, shift.conj):
-        delta = m.to_bicomplex() if sign > 0 else -m.to_bicomplex()
-        moved.append(_replaced(params, which, first[0] + delta))
-    for shifted in moved:
-        hyper.check_domain(shifted, z)
-    hyper.check_domain(params, z)
     # component 1 pairs the shift (m, n), component 2 the conjugate (n, m)
-    return make_report(per_component(worker, params, z, shift, shift.conj), tol)
+    return make_report(
+        per_component(worker, params, BiComplex.coerce(z), shift, shift.conj), tol
+    )
 
 
 def contiguous_alpha_plus(
     params: PfqParams, z, shift: ShiftM, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """F(alpha1 + M) + F(alpha1 + conj(M)) against the double binomial sum."""
-    return _contiguous(params, z, shift, tol, contiguous_alpha_plus_comp, "alphas", +1)
+    return _contiguous(params, z, shift, tol, contiguous_alpha_plus_comp, "alphas")
 
 
 def contiguous_alpha_minus(
     params: PfqParams, z, shift: ShiftM, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """F(alpha1 - M) + F(alpha1 - conj(M)); alpha1 stays unshifted on the right."""
-    return _contiguous(params, z, shift, tol, contiguous_alpha_minus_comp, "alphas", -1)
+    return _contiguous(params, z, shift, tol, contiguous_alpha_minus_comp, "alphas")
 
 
 def contiguous_beta_minus(
     params: PfqParams, z, shift: ShiftM, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """F(beta1 - M) + F(beta1 - conj(M)) against the double binomial sum."""
-    return _contiguous(params, z, shift, tol, contiguous_beta_minus_comp, "betas", -1)
+    return _contiguous(params, z, shift, tol, contiguous_beta_minus_comp, "betas")
 
 
 def contiguous_beta_plus(
     params: PfqParams, z, shift: ShiftM, tol: float = DEFAULT_IDENTITY_TOL
 ) -> IdentityReport:
     """F(beta1 + M) + F(beta1 + conj(M)) = 2F - Z * (two ratio-weighted sums)."""
-    return _contiguous(params, z, shift, tol, contiguous_beta_plus_comp, "betas", +1)
+    return _contiguous(params, z, shift, tol, contiguous_beta_plus_comp, "betas")
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +423,9 @@ def contiguous_beta_plus(
 
 def _ode_component(a, b, z, count):
     """Residual and dropped-term bound of the theta-operator applied to
-    the degree-`count` truncation, on the coefficient sequence."""
+    the degree-`count` truncation, on the coefficient sequence, at a z
+    inside the series region."""
+    hyper.check_component(a, b, z)
     c = coeff_table(a, b, count)
     # residual polynomial: d/dz prod(theta + b - 1) - prod(theta + a) on
     # sum c_n z^n; the interior coefficients cancel to rounding, the
@@ -484,9 +449,7 @@ def ode_residual_with_bound(params: PfqParams, z: BiComplex, count: int):
     the magnitude of its one surviving dropped term."""
     if count < 8:
         raise ValueError("truncation degree too small to be meaningful")
-    z = BiComplex.coerce(z)
-    hyper.check_domain(params, z)
-    (r1, m1), (r2, m2) = per_component(_ode_component, params, z, count)
+    (r1, m1), (r2, m2) = per_component(_ode_component, params, BiComplex.coerce(z), count)
     return Hyperbolic.from_idempotent(r1, r2), Hyperbolic.from_idempotent(m1, m2)
 
 

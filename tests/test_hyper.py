@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -289,6 +290,16 @@ class TestDomain:
         params = PfqParams([0.3, 0.4], [3.5])
         got = pfq(params, from_idempotent(-1.0, 0.5), tol=1e-9).value
         assert np.isfinite(got.norm2())
+
+    def test_boundary_rule_per_component(self):
+        # sum(b) - sum(a) is 2.8 on component 1 and -0.5 on component 2:
+        # the boundary rule is asked only of the component on the circle
+        params = PfqParams([0.3, 0.4], [from_idempotent(3.5, 0.2)])
+        got = pfq(params, from_idempotent(-1.0, 0.5), tol=1e-9).value.idem1
+        want = complex(mpmath.hyp2f1(0.3, 0.4, 3.5, -1))
+        assert abs(got - want) <= 1e-8 * abs(want)
+        with pytest.raises(DomainError):
+            pfq(params, from_idempotent(0.5, -1.0), tol=1e-9)
 
     def test_terminating_bypasses_region(self):
         # polynomial case evaluates outside the ball

@@ -1,9 +1,12 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 
 from bchyper import (
     BiComplex,
+    DomainError,
     InvalidParamsError,
     PfqParams,
     PoleError,
@@ -91,6 +94,11 @@ class TestSaalschutz:
     def test_degree_three_bicomplex(self):
         rep = saalschutz(3, from_idempotent(0.5, 0.2), 1.1, BiComplex(2.4, 0.3))
         assert rep.passed and rep.residual.max_comp() < 1e-12
+
+    def test_denominator_pole_inside_the_sum(self):
+        # b = -1 vanishes in the factor (b + 1) of the term n = 2 <= 3
+        with pytest.raises(InvalidParamsError):
+            saalschutz(3, 0.4, 1.1, -1.0)
 
 
 class TestDerivativeRelation:
@@ -252,6 +260,32 @@ class TestContiguous:
                     rep = op(PfqParams(a[:p], b[:q]), z, ShiftM(m, n))
                     assert rep.passed, (op.__name__, p, q, m, n)
                     assert calls and len(calls) == len(set(calls)), (op.__name__, p, q, m, n)
+
+
+class TestRelationGates:
+    """A relation's every component sum is gated, before the kernel
+    runs: no numpy warning comes before the DomainError."""
+
+    PARAMS = PfqParams([0.3, 0.4], [2.5])
+    # on the unit circle; sum(b) - sum(a) = 1.8 for PARAMS itself
+    CIRCLE = from_idempotent(-1, -1)
+
+    def _raises_domain(self, fn, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                fn(*args)
+
+    def test_contiguous_moved_parameter(self):
+        # alpha1 + 2 leaves sum(b) - sum(a) = -0.2 on the circle
+        self._raises_domain(contiguous_alpha_plus, self.PARAMS, self.CIRCLE, ShiftM(2, 2))
+
+    def test_derivative_shifted_parameters(self):
+        # every parameter + 2 leaves sum(b) - sum(a) = -0.2 on the circle
+        self._raises_domain(derivative_relation, self.PARAMS, self.CIRCLE, 2)
+
+    def test_quadratic_outside_the_ball(self):
+        self._raises_domain(quad_even, self.PARAMS, from_idempotent(1.2, 0.3))
 
 
 class TestOde:

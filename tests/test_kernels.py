@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bchyper import BiComplex, NoConvergenceError, PfqParams, kernels, pfq
+from bchyper import BiComplex, NoConvergenceError, PfqParams, kernels, pfq, verify
+from bchyper.gamma import complex_pochhammer
 
 GAUSS_A = np.array([0.7 + 0.1j, 1.2 - 0.05j], dtype=np.complex128)
 GAUSS_B = np.array([1.9 + 0.2j], dtype=np.complex128)
@@ -84,6 +86,11 @@ class TestManyKernel:
                 assert counts.max() > 20 * counts.min()
 
 
+def _representable(w) -> bool:
+    """Finite, with a modulus that does not overflow."""
+    return cmath.isfinite(w) and max(abs(w.real), abs(w.imag)) < 1e300
+
+
 class TestCoeffTable:
     def test_first_coefficients(self):
         c = kernels.coeff_table(GAUSS_A, GAUSS_B, 3)
@@ -96,6 +103,41 @@ class TestCoeffTable:
         for n in (0, 7, 23, 49):
             ratio = kernels.term_ratio(GAUSS_A, GAUSS_B, float(n))
             assert abs(c[n + 1] - c[n] * ratio) <= 2 * np.spacing(abs(c[n + 1]))
+
+    def test_closed_form(self):
+        # c_n = prod (a)_n / (n! prod (b)_n), each rising factorial taken
+        # on its own; a numerator over a denominator at a time keeps the
+        # partial products in range.  Entries whose factors or value
+        # leave the normal float64 range are skipped.
+        rng = np.random.default_rng(20)
+        eps = float(np.finfo(float).eps)
+        count = 170
+        checked = 0
+        for _ in range(200):
+            p, q = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+            params = verify._sample_params(rng, p, q)
+            for s in (1, 2):
+                a, b = params.comp_alphas(s), params.comp_betas(s)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    table = kernels.coeff_table(a, b, count)
+                for n in range(count + 1):
+                    nums = [complex_pochhammer(x, n) for x in a]
+                    dens = [complex_pochhammer(x, n) for x in b] + [float(math.factorial(n))]
+                    if not all(_representable(f) for f in nums + dens):
+                        continue
+                    want = 1.0 + 0j
+                    while nums and dens:
+                        want *= nums.pop() / dens.pop()
+                    for f in nums:
+                        want *= f
+                    for f in dens:
+                        want /= f
+                    if not (_representable(want) and 1e-280 < abs(want) < 1e280):
+                        continue
+                    err = abs(table[n] - want) / abs(want)
+                    assert err <= 2 * n * (p + q + 2) * eps, (a, b, n, err)
+                    checked += 1
+        assert checked > 20_000
 
 
 def _same_bits(got: complex, want: complex) -> bool:
