@@ -35,7 +35,6 @@ from .numbers import (
     Hyperbolic,
     bc_exp,
     bc_pow,
-    conjugates,
     format_bicomplex,
     from_idempotent,
     from_json_dict,
@@ -43,7 +42,6 @@ from .numbers import (
     in_null_cone,
     inverse,
     is_zero_divisor,
-    norms,
     parse_bicomplex,
     to_json_dict,
 )

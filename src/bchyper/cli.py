@@ -99,7 +99,7 @@ def _cmd_eval(args) -> int:
                     "value_json": to_json_dict(value),
                     "terms_used": list(result.terms_used),
                     "tail_bound": [result.tail_bound.comp1, result.tail_bound.comp2],
-                    "class": result.cls.kind.value,
+                    "class": hyper.classify(params).kind.value,
                 }],
                 {"ok": True},
             ),

@@ -112,9 +112,6 @@ class LadderTables:
     def rho(self, n: int) -> BiComplex:
         return BiComplex.from_idempotent(self.rho1[n], self.rho2[n])
 
-    def f(self, n: int) -> BiComplex:
-        return BiComplex.from_idempotent(self.f1[n], self.f2[n])
-
 
 def _component_tables(a, b, z, nmax):
     """(rho, f, raw coefficients) for one classical tower."""
@@ -237,15 +234,11 @@ def annihilate(spec: CoherentSpec) -> IdentityReport:
         sides.append((rayleigh, zc, misfit))
     bound1 = abs(c1[-1]) * tables.f1[-1]
     bound2 = abs(c2[-1]) * tables.f2[-1]
-    tol = max(bound1, bound2, 64 * np.finfo(float).eps * tables.nmax)
-    r1 = sides[0][2]
-    r2 = sides[1][2]
     return IdentityReport(
         lhs=BiComplex.from_idempotent(sides[0][0], sides[1][0]),
         rhs=BiComplex.from_idempotent(sides[0][1], sides[1][1]),
-        residual=Hyperbolic.from_idempotent(r1, r2),
-        tolerance=tol,
-        passed=(r1 <= tol and r2 <= tol),
+        residual=Hyperbolic.from_idempotent(sides[0][2], sides[1][2]),
+        tolerance=max(bound1, bound2, 64 * np.finfo(float).eps * tables.nmax),
     )
 
 

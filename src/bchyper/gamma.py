@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .errors import PoleError
 from .numbers import BiComplex, components
 
@@ -34,9 +33,7 @@ def nearest_nonpositive_int(w):
     w = complex(w)
     if w.real > 0.5:
         return None
-    n = -round(w.real)
-    if n < 0:
-        return None
+    n = -round(w.real)  # >= 0, as Re w <= 0.5
     if abs(w + n) <= POLE_TOL * max(1.0, abs(w)):
         return n
     return None
@@ -120,17 +117,20 @@ def bc_gamma(z: BiComplex) -> BiComplex:
 
 
 def bc_pochhammer(a: BiComplex, n: int) -> BiComplex:
-    """Rising factorial (a)_n, componentwise product recurrence."""
-    if n < 0:
-        raise ValueError("pochhammer order must be nonnegative")
+    """Rising factorial (a)_n, ``complex_pochhammer`` per idempotent component."""
     a = BiComplex.coerce(a)
-    return BiComplex.from_idempotent(*(kernels.pochhammer(c, n) for _, c in components(a)))
+    return BiComplex.from_idempotent(*(complex_pochhammer(c, n) for _, c in components(a)))
 
 
 def complex_pochhammer(a, n: int) -> complex:
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1) by the product recurrence."""
     if n < 0:
         raise ValueError("pochhammer order must be nonnegative")
-    return kernels.pochhammer(complex(a), n)
+    a = complex(a)
+    out = 1.0 + 0.0j
+    for k in range(n):
+        out = out * (a + k)
+    return out
 
 
 def gamma_product_oracle(z: BiComplex, terms: int = 10**6) -> BiComplex:

@@ -9,7 +9,8 @@ independently with independent truncation depths.
 runs it on every classical component sum it takes, so a relation that
 sums shifted or halved parameter sets is gated by the sums themselves.
 ``check_domain`` is the same gate on both components of a bicomplex
-argument.
+argument.  The convergence class of a parameter set is ``classify``'s
+answer; ``pfq`` does not compute it.
 """
 
 from __future__ import annotations
@@ -120,10 +121,12 @@ def per_component(worker, params: PfqParams, *values) -> list:
 
 @dataclass(frozen=True)
 class SeriesEval:
+    """A ``pfq`` result: the value, and per idempotent component the
+    number of terms summed and the tail bound."""
+
     value: BiComplex
     terms_used: tuple
     tail_bound: Hyperbolic
-    cls: ConvergenceClass
 
 
 def classify(params: PfqParams) -> ConvergenceClass:
@@ -244,13 +247,12 @@ def pfq(
     components are gated (``check_domain``) before either is summed.
     """
     z = BiComplex.coerce(z)
-    cls = check_domain(params, z)
+    check_domain(params, z)
     (v1, n1, t1), (v2, n2, t2) = per_component(component_series, params, z, tol, cap)
     return SeriesEval(
         value=BiComplex.from_idempotent(v1, v2),
         terms_used=(n1, n2),
         tail_bound=Hyperbolic.from_idempotent(t1, t2),
-        cls=cls,
     )
 
 
@@ -258,9 +260,8 @@ def pfq_value(params, z) -> BiComplex:
     return pfq(params, z).value
 
 
-def check_domain(params: PfqParams, z: BiComplex) -> ConvergenceClass:
-    """``check_component`` on both components of z, then the
-    ``classify`` class of the parameters.
+def check_domain(params: PfqParams, z: BiComplex) -> None:
+    """``check_component`` on both components of z; it only gates.
 
     The gate itself is ``check_component``, which every component sum
     runs again; this runs it on both components before either is
@@ -269,7 +270,6 @@ def check_domain(params: PfqParams, z: BiComplex) -> ConvergenceClass:
     """
     for s, zc in components(BiComplex.coerce(z)):
         check_component(params.comp_alphas(s), params.comp_betas(s), zc, str(s))
-    return classify(params)
 
 
 def pfq_components(params: PfqParams, z: BiComplex):

@@ -97,7 +97,10 @@ def series_sum(alphas, betas, z, tol, cap):
 
 
 def series_sum_terminating(alphas, betas, z, last_n):
-    """Exact sum of a terminating series: terms n = 0 .. last_n inclusive."""
+    """Exact sum of a terminating series: terms n = 0 .. last_n inclusive.
+
+    z is one argument or an array of them; for last_n = 0 the sum is
+    the scalar 1 either way."""
     total = term = 1.0 + 0.0j
     for n in range(last_n):
         num, den = ratio_parts(alphas, betas, n)
@@ -113,14 +116,6 @@ def coeff_table(alphas, betas, count):
     for n in range(count):
         num, den = ratio_parts(alphas, betas, n)
         c = out[n + 1] = c * (np.complex128(num) / den)
-    return out
-
-
-def pochhammer(a, n):
-    """Rising factorial (a)_n by the product recurrence."""
-    out = 1.0 + 0.0j
-    for k in range(n):
-        out = out * (a + k)
     return out
 
 

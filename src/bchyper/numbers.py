@@ -231,12 +231,6 @@ E1 = BiComplex(0.5, 0.5j)
 E2 = BiComplex(0.5, -0.5j)
 
 
-def conjugates(a: BiComplex):
-    """The three conjugations (bar, tilde, star) of a bicomplex number."""
-    a = BiComplex.coerce(a)
-    return a.conj_bar(), a.conj_tilde(), a.conj_star()
-
-
 def components(*values):
     """The idempotent split of `values`: (1, v.idem1, ...) and (2, v.idem2, ...).
 
@@ -278,12 +272,6 @@ def inverse(a: BiComplex) -> BiComplex:
     if in_null_cone(a):
         raise NullConeError(f"{a} is a zero divisor (idempotent components {a.idem1}, {a.idem2})")
     return BiComplex.from_idempotent(1.0 / a.idem1, 1.0 / a.idem2)
-
-
-def norms(a: BiComplex):
-    """Euclidean and hyperbolic norms (||Z||_2, |Z|_h)."""
-    a = BiComplex.coerce(a)
-    return a.norm2(), a.hnorm()
 
 
 def h_less(a, b) -> HOrder:

@@ -228,10 +228,8 @@ def _require_ball(z: BiComplex):
 def _inner_values(a, b, args):
     k = hyper.termination_index(a)
     if k is not None:
-        return np.array(
-            [kernels.series_sum_terminating(a, b, z, k) for z in args],
-            dtype=np.complex128,
-        )
+        # at k = 0 the kernel returns the scalar 1 whatever the arguments
+        return np.broadcast_to(kernels.series_sum_terminating(a, b, args, k), args.shape)
     values, _, _, statuses = kernels.series_sum_many(a, b, args, DEFAULT_TOL, DEFAULT_CAP)
     if np.any(statuses != kernels.STATUS_OK):
         raise NoConvergenceError("inner series hit the term cap inside the quadrature")

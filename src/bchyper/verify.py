@@ -1,9 +1,11 @@
 """Seeded verification suites behind `bchyper verify` and the acceptance tests.
 
 Each suite is a declaration in SUITES: the theorem label of its rows,
-its phases, and the options it accepts with their defaults.
-``run_suite`` is the one loop: it seeds one generator, runs the cases
-of every phase in order and counts skips.  A case body draws an
+its phases, and the options it accepts with their defaults.  A suite
+accepts only the options the CLI forwards (`seed`, `samples`, and
+`tol`/`nodes` where it reads them); its other settings are the fixed
+values below.  ``run_suite`` is the one loop: it seeds one generator,
+runs the cases of every phase in order and counts skips.  A case body draws an
 admissible random case from that generator (rejection sampling, at
 most 100 attempts per draw), runs one relation, and returns a row
 {theorem, case, params, z, residual1, residual2, passed}, a list of
@@ -30,6 +32,20 @@ MAX_ATTEMPTS = 100
 # over the last 50 of them stay within REGION_THRESHOLD.
 REGION_CAP = 2000
 REGION_THRESHOLD = 1e-6
+# thm2.2: boundary draws per side, and the Cauchy delta (over
+# hyper.boundary_probe's default cap) that separates the two sides.
+BOUNDARY_CASES = 50
+BOUNDARY_THRESHOLD = 1e-8
+# thm5.1: derivative orders 0 ..= DERIVATIVE_KMAX.
+DERIVATIVE_KMAX = 3
+# thm5.2: the finite-difference steps, the band the log-log slope of a
+# step pair must fall in, and the smallest residual at the largest step.
+CR_STEPS = (1e-3, 1e-4, 1e-5)
+SLOPE_BAND = (1.8, 2.2)
+CR_MIN_SIGNAL = 5e-6
+# thm7.1: coefficients checked per draw, and their allowed ulp error.
+RECURRENCE_COUNT = 200
+RECURRENCE_MAX_ULPS = 2.0
 
 
 @dataclass
@@ -68,7 +84,7 @@ def _row(case, params, z, r1, r2, passed, **extra):
     row = {
         "case": case,
         "params": _params_str(params) if isinstance(params, PfqParams) else str(params),
-        "z": format_bicomplex(z) if isinstance(z, BiComplex) else str(z),
+        "z": format_bicomplex(z),
         "residual1": float(r1),
         "residual2": float(r2),
         "passed": bool(passed),
@@ -129,12 +145,9 @@ def _pick(rng, shapes):
     return shapes[int(rng.integers(len(shapes)))]
 
 
-def _sample_params(rng, p, q, re=(0.3, 2.2), im=(-0.35, 0.35)) -> PfqParams:
+def _sample_params(rng, p, q) -> PfqParams:
     def draw():
-        return PfqParams(
-            [_bc_idem(rng, re, im) for _ in range(p)],
-            [_bc_idem(rng, re, im) for _ in range(q)],
-        )
+        return PfqParams([_bc_idem(rng) for _ in range(p)], [_bc_idem(rng) for _ in range(q)])
 
     params = _attempts(draw)
     if params is None:
@@ -230,12 +243,11 @@ def _boundary_body(eta_lo, eta_hi, side):
         if got is None:
             return None
         params, z = got
-        (d1, _, f1), (d2, _, f2) = hyper.boundary_probe(params, z, cap=o["cap"])
-        threshold = o["threshold"]
+        (d1, _, f1), (d2, _, f2) = hyper.boundary_probe(params, z)
         if side == "+":
-            good = f1 and f2 and d1 < threshold and d2 < threshold
+            good = f1 and f2 and d1 < BOUNDARY_THRESHOLD and d2 < BOUNDARY_THRESHOLD
         else:
-            good = (not f1) or (not f2) or d1 > threshold or d2 > threshold
+            good = (not f1) or (not f2) or d1 > BOUNDARY_THRESHOLD or d2 > BOUNDARY_THRESHOLD
             d1, d2 = min(d1, 1e3), min(d2, 1e3)
         return _row(f"boundary{side}{case}", params, z, d1, d2, good,
                     margin=hyper.classify(params).margin)
@@ -346,7 +358,7 @@ def _saalschutz_case(rng, o, case):
 
 def _derivative_case(rng, o, case):
     p, q = _pick(rng, [(0, 0), (1, 1), (2, 1), (1, 2), (2, 2)])
-    k = int(rng.integers(0, o["kmax"] + 1))
+    k = int(rng.integers(0, DERIVATIVE_KMAX + 1))
     params = _sample_params(rng, p, q)
     z = _ball_z(rng, rmax=0.7)
     return _report_row(case, params, z, identities.derivative_relation(params, z, k, o["tol"]), k=k)
@@ -359,11 +371,16 @@ def _cauchy_riemann_case(rng, o, index):
 
     Specs are drawn with a small first denominator parameter so that
     the third-derivative scale keeps the h^2 signal above the
-    rounding floor of the smallest step.
+    rounding floor of the smallest step.  A draw passes when the slope
+    of either step pair lies in SLOPE_BAND: the rounding floor can
+    reach the residual at the smallest step, or the largest step can
+    be short of the h^2 regime, and either leaves the other pair on the
+    h^2 law, while a residual that does not fall like h^2 fails both
+    pairs.  The row's `slope` is the least-squares fit over all three
+    steps.
     """
     case, odd = divmod(index, 2)
     wrt = ("z", "beta")[odd]
-    hs = o["hs"]
 
     def draw():
         p, q = _pick(rng, [(1, 1), (2, 1)])
@@ -374,8 +391,8 @@ def _cauchy_riemann_case(rng, o, index):
         )
         params = PfqParams(alphas, [b0])
         z = _ball_z(rng, rmin=0.5, rmax=0.75)
-        first = identities.cauchy_riemann_check(params, z, hs[0], wrt=wrt)
-        if first.residual.max_comp() < o["min_signal"]:
+        first = identities.cauchy_riemann_check(params, z, CR_STEPS[0], wrt=wrt)
+        if first.residual.max_comp() < CR_MIN_SIGNAL:
             return None  # curvature too small for a clean slope
         return params, z, first
 
@@ -385,11 +402,13 @@ def _cauchy_riemann_case(rng, o, index):
     params, z, first = got
     res = [first.residual.max_comp()] + [
         identities.cauchy_riemann_check(params, z, h, wrt=wrt).residual.max_comp()
-        for h in hs[1:]
+        for h in CR_STEPS[1:]
     ]
-    slope = float(np.polyfit(np.log10(np.array(hs)), np.log10(np.array(res)), 1)[0])
-    lo, hi = o["slope_band"]
-    return _row(f"{wrt}-{case}", params, z, res[0], res[-1], lo <= slope <= hi, slope=slope)
+    log_h, log_r = np.log10(np.array(CR_STEPS)), np.log10(np.array(res))
+    slope = float(np.polyfit(log_h, log_r, 1)[0])
+    lo, hi = SLOPE_BAND
+    good = any(lo <= s <= hi for s in np.diff(log_r) / np.diff(log_h))
+    return _row(f"{wrt}-{case}", params, z, res[0], res[-1], good, slope=slope)
 
 
 def _contiguous_body(relation, beta_offset=0.0):
@@ -419,9 +438,9 @@ def _recurrence_case(rng, o, case):
     p = int(rng.integers(0, 4))
     q = int(rng.integers(0, 4))
     params = _sample_params(rng, p, q)
-    ulps = identities.coefficient_recurrence_ulps(params, o["count"])
+    ulps = identities.coefficient_recurrence_ulps(params, RECURRENCE_COUNT)
     return _row(f"recurrence-{case}", params, BiComplex(0.0), ulps, ulps,
-                ulps <= o["max_ulps"], ulps=ulps)
+                ulps <= RECURRENCE_MAX_ULPS, ulps=ulps)
 
 
 def _operator_case(rng, o, case):
@@ -550,9 +569,9 @@ SUITES = {
     "thm2.2": _suite(
         "thm2.2",
         (_samples, _classify_case),
-        (lambda o: o["boundary"], _boundary_body(2.0, 4.0, "+")),
-        (lambda o: o["boundary"], _boundary_body(-2.5, -0.3, "-")),
-        samples=200, boundary=50, threshold=1e-8, cap=20000,
+        (lambda o: BOUNDARY_CASES, _boundary_body(2.0, 4.0, "+")),
+        (lambda o: BOUNDARY_CASES, _boundary_body(-2.5, -0.3, "-")),
+        samples=200,
     ),
     "examples": _suite("examples", (_samples, _examples_case), samples=100, tol=1e-11),
     "thm3.1": _suite("thm3.1", (_samples, _euler_case), samples=100, tol=1e-7, nodes=64),
@@ -563,12 +582,8 @@ SUITES = {
     "thm4.2": _suite("thm4.2", (_samples, _quadratic_body(identities.quad_odd)),
                      samples=500, tol=1e-9),
     "thm4.3": _suite("thm4.3", (_samples, _saalschutz_case), samples=500, tol=1e-9),
-    "thm5.1": _suite("thm5.1", (_samples, _derivative_case), samples=500, tol=1e-9, kmax=3),
-    "thm5.2": _suite(
-        "thm5.2",
-        (lambda o: 2 * o["samples"], _cauchy_riemann_case),
-        samples=20, hs=(1e-3, 1e-4, 1e-5), slope_band=(1.8, 2.2), min_signal=5e-6,
-    ),
+    "thm5.1": _suite("thm5.1", (_samples, _derivative_case), samples=500, tol=1e-9),
+    "thm5.2": _suite("thm5.2", (lambda o: 2 * o["samples"], _cauchy_riemann_case), samples=20),
     "thm6.1": _suite("thm6.1", (_samples, _contiguous_body(identities.contiguous_alpha_plus)),
                      samples=500, tol=1e-9),
     "thm6.2": _suite("thm6.2", (_samples, _contiguous_body(identities.contiguous_alpha_minus)),
@@ -583,7 +598,7 @@ SUITES = {
         "thm7.1",
         (_samples, _recurrence_case),
         (lambda o: 20, _operator_case),
-        samples=100, max_ulps=2.0, count=200,
+        samples=100,
     ),
     "cs-eigen": _suite(
         "cs",

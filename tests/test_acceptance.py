@@ -3,7 +3,9 @@
 Each test prints a single PASS/FAIL line (visible with pytest -s and in
 failure reports).  Seeds and sample counts match the shipped `verify`
 suite defaults, so `bchyper verify all --seed 7` exercises the same
-sweeps.
+sweeps.  The settings a suite fixes (boundary draws, thresholds, steps,
+bands) are pinned here from its rows or from the named `verify`
+constants.
 """
 
 import subprocess
@@ -33,14 +35,19 @@ def test_criterion_1_idempotent_oracle_equivalence():
 
 
 def test_criterion_2_convergence_trichotomy():
-    res = verify.run_suite("thm2.2", samples=200, seed=7, boundary=50, threshold=1e-8)
+    res = verify.run_suite("thm2.2", samples=200, seed=7)
     shape_rows = [r for r in res.rows if isinstance(r["case"], int)]
     plus_rows = [r for r in res.rows if str(r["case"]).startswith("boundary+")]
     minus_rows = [r for r in res.rows if str(r["case"]).startswith("boundary-")]
+    # the residuals of a boundary row are its two Cauchy deltas
+    deltas = [max(r["residual1"], r["residual2"]) for r in plus_rows]
     ok = (
         res.ok
         and len(shape_rows) == 200
         and len(plus_rows) + len(minus_rows) + res.skipped == 100
+        and verify.BOUNDARY_THRESHOLD == 1e-8
+        and all(d < 1e-8 for d in deltas)
+        and all(max(r["residual1"], r["residual2"]) > 1e-8 for r in minus_rows)
         and all(r["margin"] > 0.1 for r in plus_rows)
         and all(r["margin"] < -0.1 for r in minus_rows)
     )
@@ -107,14 +114,23 @@ def test_criterion_5_identity_suites():
         "thm4.1": verify.run_suite("thm4.1", samples=500, seed=7, tol=1e-9),
         "thm4.2": verify.run_suite("thm4.2", samples=500, seed=7, tol=1e-9),
         "thm4.3": verify.run_suite("thm4.3", samples=500, seed=7, tol=1e-9),
-        "thm5.1": verify.run_suite("thm5.1", samples=500, seed=7, tol=1e-9, kmax=3),
+        "thm5.1": verify.run_suite("thm5.1", samples=500, seed=7, tol=1e-9),
         "thm6.1": verify.run_suite("thm6.1", samples=500, seed=7, tol=1e-9),
         "thm6.2": verify.run_suite("thm6.2", samples=500, seed=7, tol=1e-9),
         "thm6.3": verify.run_suite("thm6.3", samples=500, seed=7, tol=1e-9),
         "thm6.4": verify.run_suite("thm6.4", samples=500, seed=7, tol=1e-9),
-        "thm7.1": verify.run_suite("thm7.1", samples=100, seed=7, max_ulps=2.0, count=200),
+        "thm7.1": verify.run_suite("thm7.1", samples=100, seed=7),
     }
-    ok = all(r.ok for r in suites.values())
+    orders = {r["k"] for r in suites["thm5.1"].rows}
+    ulps = [r["ulps"] for r in suites["thm7.1"].rows if "ulps" in r]
+    ok = (
+        all(r.ok for r in suites.values())
+        and orders == {0, 1, 2, 3}
+        and len(ulps) == 100
+        and all(u <= 2.0 for u in ulps)
+        and verify.RECURRENCE_MAX_ULPS == 2.0
+        and verify.RECURRENCE_COUNT == 200
+    )
     worst = max(r.max_residual for name, r in suites.items() if name != "thm7.1")
     _report(
         "5 identity suites",
@@ -124,11 +140,14 @@ def test_criterion_5_identity_suites():
 
 
 def test_criterion_6_cauchy_riemann_scaling():
-    res = verify.run_suite(
-        "thm5.2", samples=20, seed=7, hs=(1e-3, 1e-4, 1e-5), slope_band=(1.8, 2.2)
-    )
+    res = verify.run_suite("thm5.2", samples=20, seed=7)
     slopes = [r["slope"] for r in res.rows]
-    ok = res.ok and len(res.rows) == 40
+    ok = (
+        res.ok
+        and len(res.rows) == 40
+        and verify.CR_STEPS == (1e-3, 1e-4, 1e-5)
+        and verify.SLOPE_BAND == (1.8, 2.2)
+    )
     _report(
         "6 Cauchy-Riemann h^2 scaling",
         ok,

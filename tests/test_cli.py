@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from bchyper import parse_bicomplex, verify
+from bchyper import BiComplex, Hyperbolic, IdentityReport, parse_bicomplex, verify
 from bchyper.cli import main
 
 
@@ -158,8 +159,50 @@ class TestVerify:
         with pytest.raises(TypeError):
             verify.run_suite("thm2.2", samples=1, tol=1e-9)
         # thm2.2 counts its shape cases and both boundary phases
-        res = verify.run_suite("thm2.2", samples=3, boundary=2, seed=5)
-        assert res.samples == 3 + 2 * 2 == len(res.rows) + res.skipped
+        res = verify.run_suite("thm2.2", samples=3, seed=5)
+        assert res.samples == 3 + 2 * 50 == len(res.rows) + res.skipped
+
+    def test_suites_accept_only_the_forwarded_options(self):
+        # every option a suite accepts can be set from the command line
+        for suite in verify.SUITES.values():
+            assert set(suite.defaults) <= {"seed", "samples", "tol", "nodes"}
+        fixed = {
+            "thm2.2": ("boundary", "threshold", "cap"),
+            "thm5.1": ("kmax",),
+            "thm5.2": ("hs", "slope_band", "min_signal"),
+            "thm7.1": ("max_ulps", "count"),
+        }
+        for name, options in fixed.items():
+            for option in options:
+                with pytest.raises(TypeError):
+                    verify.run_suite(name, samples=1, **{option: None})
+
+    @pytest.mark.parametrize(
+        "law, passes",
+        [
+            (lambda h: 10.0 * h * h, True),
+            # the rounding floor reaches the smallest step
+            (lambda h: max(10.0 * h * h, 1e-8), True),
+            # the largest step is short of the h^2 regime
+            (lambda h: 10.0 * h * h * (1.0 + (h / 3e-4) ** 2), True),
+            # a residual that falls only like h fails both step pairs
+            (lambda h: 1e-2 * h, False),
+        ],
+    )
+    def test_thm52_passes_when_either_step_pair_shows_h2(self, monkeypatch, law, passes):
+        def check(params, z, h, wrt="z"):
+            r = law(h)
+            residual = Hyperbolic.from_idempotent(r, r)
+            return IdentityReport(BiComplex(0.0), BiComplex(0.0), residual, 1e-7)
+
+        monkeypatch.setattr(verify.identities, "cauchy_riemann_check", check)
+        res = verify.run_suite("thm5.2", samples=2, seed=1)
+        logs = np.log10([law(h) for h in verify.CR_STEPS])
+        fit = np.polyfit(np.log10(verify.CR_STEPS), logs, 1)[0]
+        assert len(res.rows) == 4
+        for row in res.rows:
+            assert row["passed"] is passes
+            assert row["slope"] == pytest.approx(fit, abs=1e-12)  # the 3-point fit
 
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(

@@ -23,7 +23,6 @@ from bchyper import (
     pfq,
     pfq_value,
 )
-from bchyper import verify
 from bchyper.hyper import ORACLE_BLOCK, boundary_probe, per_component, ratio_radius_estimate
 from conftest import assert_bc_close, comp_rel_err
 
@@ -112,11 +111,12 @@ class TestPfq:
         assert_bc_close(got, bc_exp(z), 1e-12)
 
     def test_eval_metadata(self):
-        res = pfq(PfqParams([0.4, 0.9], [2.0]), from_idempotent(0.6, 0.3))
+        params = PfqParams([0.4, 0.9], [2.0])
+        res = pfq(params, from_idempotent(0.6, 0.3))
         assert res.tail_bound.in_dplus()
         assert all(1 <= n <= 10_000 for n in res.terms_used)
         # sum(betas) - sum(alphas) = 0.7 > 0: boundary-convergent flavour
-        assert res.cls.kind is ConvergenceKind.UNIT_BALL_BOUNDARY
+        assert classify(params).kind is ConvergenceKind.UNIT_BALL_BOUNDARY
 
     def test_independent_truncation_depths(self):
         res = pfq(PfqParams([0.9, 1.4], [2.0]), from_idempotent(0.85, 0.05))
@@ -354,8 +354,6 @@ class TestBoundaryProbe:
         for cap in (0, 1):
             with pytest.raises(ValueError, match="cap"):
                 boundary_probe(params, z, cap=cap)
-            with pytest.raises(ValueError, match="cap"):
-                verify.run_suite("thm2.2", samples=1, boundary=1, cap=cap)
 
     def test_boundary_majorant_exponent(self):
         # |terms| decay like n^-(eta+1) on the boundary: fit the exponent

@@ -22,7 +22,6 @@ from bchyper import (
     NullConeError,
     bc_exp,
     bc_pow,
-    conjugates,
     format_bicomplex,
     from_idempotent,
     from_json_dict,
@@ -30,7 +29,6 @@ from bchyper import (
     in_null_cone,
     inverse,
     is_zero_divisor,
-    norms,
     parse_bicomplex,
     to_json_dict,
 )
@@ -65,30 +63,53 @@ class TestBasisIdentities:
         assert z + ZERO == z
 
 
+class TestOperators:
+    def test_bicomplex_division_and_reflected_operators(self):
+        z, w = from_idempotent(2.0, 4.0), from_idempotent(0.5, -1.0)
+        assert_bc_close(z / w, from_idempotent(4.0, -4.0), 1e-15)
+        assert_bc_close(1.0 / z, from_idempotent(0.5, 0.25), 1e-15)
+        assert_bc_close(3.0 - z, from_idempotent(1.0, -1.0), 1e-15)
+        with pytest.raises(NullConeError):
+            1.0 / E1
+
+    def test_hyperbolic_add_and_subtract(self):
+        h, g = Hyperbolic(1.0, 0.5), Hyperbolic(0.25, -0.75)
+        assert h + g == Hyperbolic(1.25, -0.25)
+        assert h - g == Hyperbolic(0.75, 1.25)
+        assert -h == Hyperbolic(-1.0, -0.5)
+        assert h + 1.0 == 1.0 + h == Hyperbolic(2.0, 0.5)
+        assert 2.0 - h == Hyperbolic(1.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [(BiComplex(1.0), "re1"), (Hyperbolic(1.0), "x"), (HBall(ZERO, 1.0), "radius")],
+    )
+    def test_immutable(self, value, name):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, 0.0)
+
+
 class TestConjugations:
     def test_real_fixed_points(self):
         r = BiComplex(2.5)
-        assert conjugates(r) == (r, r, r)
+        assert r.conj_bar() == r.conj_tilde() == r.conj_star() == r
 
     def test_tilde_flips_i2(self):
-        bar, tilde, star = conjugates(I2)
-        assert tilde == -I2
+        assert I2.conj_tilde() == -I2
 
     def test_star_fixed_point(self):
         # star of 1 + i2*i1 conjugates both complex parts: stays put
         z = BiComplex(1.0, 1j)
-        _, _, star = conjugates(z)
-        assert star == z
+        assert z.conj_star() == z
 
     def test_bar_conjugates_parts(self):
         z = BiComplex(1 + 2j, 3 - 4j)
-        bar, tilde, star = conjugates(z)
-        assert bar == BiComplex(1 - 2j, 3 + 4j)
-        assert star == BiComplex(1 - 2j, -3 - 4j)
+        assert z.conj_bar() == BiComplex(1 - 2j, 3 + 4j)
+        assert z.conj_star() == BiComplex(1 - 2j, -3 - 4j)
 
     def test_star_is_componentwise_conjugation(self):
         z = BiComplex(0.4 + 0.9j, -0.3 + 0.2j)
-        star = conjugates(z)[2]
+        star = z.conj_star()
         assert star.idem1 == z.idem1.conjugate()
         assert star.idem2 == z.idem2.conjugate()
 
@@ -159,16 +180,16 @@ class TestInverse:
 
 class TestNorms:
     def test_zero(self):
-        n2, nh = norms(ZERO)
-        assert n2 == 0.0 and nh == Hyperbolic(0.0, 0.0)
+        assert ZERO.norm2() == 0.0 and ZERO.hnorm() == Hyperbolic(0.0, 0.0)
 
     def test_e1(self):
-        n2, nh = norms(E1)
-        assert abs(n2 - 1.0 / math.sqrt(2)) < 1e-15
+        nh = E1.hnorm()
+        assert abs(E1.norm2() - 1.0 / math.sqrt(2)) < 1e-15
         assert nh.comp1 == 1.0 and nh.comp2 == 0.0
 
     def test_3e1_4e2(self):
-        n2, nh = norms(from_idempotent(3.0, 4.0))
+        z = from_idempotent(3.0, 4.0)
+        n2, nh = z.norm2(), z.hnorm()
         assert abs(n2 - math.sqrt(12.5)) < 1e-14
         assert abs(nh.comp1 - 3.0) < 1e-15 and abs(nh.comp2 - 4.0) < 1e-15
 

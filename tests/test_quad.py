@@ -147,6 +147,17 @@ class TestEuler:
         for lo, hi in zip(errs, errs[1:]):
             assert hi <= lo / 4.0 or lo <= floor, errs
 
+    def test_terminating_inner_series(self):
+        # the integrand's series has numerator -2: a degree-2 polynomial in
+        # z t, summed over all nodes in one kernel call
+        params = PfqParams([BiComplex(0.8), BiComplex(-2.0)], [BiComplex(2.1)])
+        z = from_idempotent(0.5, -0.3)
+        rep = euler_integral(params, z)
+        assert rep.passed and rep.residual.max_comp() < 1e-12
+        for got, zc in ((rep.lhs.idem1, 0.5), (rep.lhs.idem2, -0.3)):
+            want = complex(mpmath.hyp2f1(0.8, -2.0, 2.1, zc))
+            assert abs(got - want) < 1e-13 * abs(want)
+
 
 class TestLaplace:
     def test_laguerre_rule_built_once_and_read_only(self):
@@ -248,6 +259,13 @@ class TestDouble:
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             double_integral(from_idempotent(-1.0, 1.0), 1.0, PfqParams([], []), BiComplex(0.1))
+
+    def test_degree_zero_inner_series(self):
+        # numerator 0: the inner series is the constant 1 at every node
+        m = from_idempotent(1.2, 0.9)
+        n = from_idempotent(0.8, 1.5)
+        rep = double_integral(m, n, PfqParams([0.0], [1.5]), from_idempotent(0.5, 0.3))
+        assert rep.passed and rep.residual.max_comp() < 1e-12
 
     def test_node_doubling_converges(self):
         m = from_idempotent(1.2, 0.9)
