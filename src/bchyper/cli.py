@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: eval, classify, verify <suite>, region-plot, coherent.
+`verify` takes a seed and a sample count; every suite checks its
+relations at the tolerances they declare.
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure.
 Reports are deterministic for a fixed argv and seed.
 """
@@ -51,6 +53,13 @@ def _build_params(args) -> hyper.PfqParams:
             f" got {len(alphas)} and {len(betas)}"
         )
     return hyper.PfqParams(alphas, betas)
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _emit(text: str, out_path):
@@ -136,28 +145,19 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _suite_kwargs(name, args):
-    """The given --seed/--samples/--tol/--nodes values that suite `name` accepts."""
-    accepted = verify.SUITES[name].defaults
-    return {
-        key: getattr(args, key)
-        for key in ("seed", "samples", "tol", "nodes")
-        if getattr(args, key) is not None and key in accepted
-    }
-
-
 def _cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in verify.SUITES:
             raise UsageError(f"unknown suite {name!r}; known: {sorted(verify.SUITES)} or 'all'")
+    options = {"seed": args.seed}
+    if args.samples is not None:
+        options["samples"] = args.samples
     results = []
-    options = []
     lines = []
     all_ok = True
     for name in names:
-        kwargs = _suite_kwargs(name, args)
-        res = verify.run_suite(name, **kwargs)
+        res = verify.run_suite(name, **options)
         all_ok = all_ok and res.ok
         status = "PASS" if res.ok else "FAIL"
         lines.append(
@@ -165,7 +165,6 @@ def _cmd_verify(args) -> int:
             f" {res.skipped} skipped, max residual {res.max_residual:.3e})"
         )
         results.append(res)
-        options.append(kwargs)
     summary = {
         "suites": len(results),
         "passed_cases": sum(r.passed for r in results),
@@ -176,8 +175,7 @@ def _cmd_verify(args) -> int:
         _emit(
             _json_report(
                 "verify",
-                {"suite": args.suite, "seed": args.seed, "samples": args.samples,
-                 "tol": args.tol, "nodes": args.nodes},
+                {"suite": args.suite, "seed": args.seed, "samples": args.samples},
                 [{
                     "theorem": r.theorem,
                     "samples": r.samples,
@@ -185,9 +183,9 @@ def _cmd_verify(args) -> int:
                     "failed": r.failed,
                     "skipped": r.skipped,
                     "max_residual": r.max_residual,
-                    "options": used,
+                    "options": options,
                     "rows": r.rows if args.rows else [],
-                } for r, used in zip(results, options)],
+                } for r in results],
                 summary,
             ),
             args.out,
@@ -264,9 +262,8 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", help="suite id (thm2.1 ... cs-eigen) or 'all'")
     p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--samples", type=int, default=None)
-    p_ver.add_argument("--tol", type=float, default=None)
-    p_ver.add_argument("--nodes", type=int, default=None)
+    p_ver.add_argument("--samples", type=_count, default=None,
+                       help="cases per sampled phase (default: the suite's own)")
     p_ver.add_argument("--rows", action="store_true", help="include per-case rows in JSON")
     p_ver.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_ver.add_argument("--out", default=None)

@@ -122,20 +122,21 @@ def _component_tables(a, b, z, nmax):
     raw[0] = 1.0
     zp = 1.0 + 0.0j
     real_a, real_b = [x.real for x in a], [x.real for x in b]
-    for n in range(nmax):
-        # the inverse coefficient ratio on the real parts
-        num, den = kernels.ratio_parts(real_a, real_b, n)
-        f2 = (den / num).real
-        if not f2 > 0.0:
-            raise PositivityError(
-                f"ladder factor squared is {f2} at level {n}; the parameter"
-                " function leaves the positive cone"
-            )
-        f[n] = math.sqrt(f2)
-        with np.errstate(over="ignore"):
+    # rho may overflow to inf; its coefficient is then 0
+    with np.errstate(over="ignore"):
+        for n in range(nmax):
+            # the inverse coefficient ratio on the real parts
+            num, den = kernels.ratio_parts(real_a, real_b, n)
+            f2 = (den / num).real
+            if not f2 > 0.0:
+                raise PositivityError(
+                    f"ladder factor squared is {f2} at level {n}; the parameter"
+                    " function leaves the positive cone"
+                )
+            f[n] = math.sqrt(f2)
             rho[n + 1] = rho[n] * f[n] ** 2
-        zp = zp * z
-        raw[n + 1] = zp / math.sqrt(rho[n + 1]) if math.isfinite(rho[n + 1]) else 0.0
+            zp = zp * z
+            raw[n + 1] = zp / math.sqrt(rho[n + 1]) if math.isfinite(rho[n + 1]) else 0.0
     return rho, f, raw
 
 

@@ -6,8 +6,10 @@ parameters, glued by e1/e2.  The two components are summed
 independently with independent truncation depths.
 
 ``check_component`` is the one domain-and-pole gate: ``component_series``
-runs it on every classical component sum it takes, so a relation that
-sums shifted or halved parameter sets is gated by the sums themselves.
+runs it on every classical component sum it takes, and
+``quad._inner_values`` on every array of quadrature arguments, so a
+relation that sums shifted or halved parameter sets is gated by the
+sums themselves.
 ``check_domain`` is the same gate on both components of a bicomplex
 argument.  The convergence class of a parameter set is ``classify``'s
 answer; ``pfq`` does not compute it.
@@ -155,20 +157,11 @@ def classify(params: PfqParams) -> ConvergenceClass:
     return ConvergenceClass(kind, eta1=eta1, eta2=eta2, margin=margin)
 
 
-def termination_index(comp_alphas) -> int | None:
-    """Degree of the terminating series when some numerator parameter
-    is a nonpositive integer, else None."""
-    best = None
-    for a in comp_alphas:
-        n = nearest_nonpositive_int(a)
-        if n is not None and (best is None or n < best):
-            best = n
-    return best
-
-
 def check_component(alphas, betas, z: complex, label: str = "") -> int | None:
     """The one gate of a classical component sum; returns its
-    termination degree (None for an unending series).
+    termination degree, the least n with a numerator parameter at -n
+    (None for an unending series).  For an array of arguments, pass
+    the largest modulus as `z`.
 
     Raises InvalidParamsError when a denominator parameter sits at a
     nonpositive integer -m that the sum reaches: any m for an unending
@@ -178,7 +171,11 @@ def check_component(alphas, betas, z: complex, label: str = "") -> int | None:
     Re(sum(betas) - sum(alphas)) > BOUNDARY_MARGIN, asked of this
     component alone.  `label` names the component in the messages.
     """
-    k = termination_index(alphas)
+    k = None
+    for a in alphas:
+        n = nearest_nonpositive_int(a)
+        if n is not None and (k is None or n < k):
+            k = n
     where = f" (component {label})" if label else ""
     for b in betas:
         m = nearest_nonpositive_int(b)

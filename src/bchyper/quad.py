@@ -226,7 +226,9 @@ def _require_ball(z: BiComplex):
 
 
 def _inner_values(a, b, args):
-    k = hyper.termination_index(a)
+    """The component series at every argument of the array `args`,
+    gated once on the largest modulus among them."""
+    k = hyper.check_component(a, b, float(np.max(np.abs(args))))
     if k is not None:
         # at k = 0 the kernel returns the scalar 1 whatever the arguments
         return np.broadcast_to(kernels.series_sum_terminating(a, b, args, k), args.shape)

@@ -1,11 +1,11 @@
 """Seeded verification suites behind `bchyper verify` and the acceptance tests.
 
 Each suite is a declaration in SUITES: the theorem label of its rows,
-its phases, and the options it accepts with their defaults.  A suite
-accepts only the options the CLI forwards (`seed`, `samples`, and
-`tol`/`nodes` where it reads them); its other settings are the fixed
-values below.  ``run_suite`` is the one loop: it seeds one generator,
-runs the cases of every phase in order and counts skips.  A case body draws an
+its default sample count, and its phases.  A suite takes two settings,
+`seed` and `samples`; each relation runs at its own default tolerance
+and rule size, and every other setting is a fixed value below.
+``run_suite`` is the one loop: it seeds one generator, runs the cases
+of every phase in order and counts skips.  A case body draws an
 admissible random case from that generator (rejection sampling, at
 most 100 attempts per draw), runs one relation, and returns a row
 {theorem, case, params, z, residual1, residual2, passed}, a list of
@@ -28,6 +28,12 @@ from .identities import ShiftM
 from .numbers import BiComplex, bc_pow, components, format_bicomplex
 
 MAX_ATTEMPTS = 100
+# The floors the relations do not default to: thm2.1's engine-oracle
+# residual, the examples' closed-form residual, and thm3.8's Gauss
+# nodes per axis (thm3.1 and thm3.5 run at quad.DEFAULT_NODES).
+ORACLE_TOL = 1e-12
+EXAMPLES_TOL = 1e-11
+DOUBLE_NODES = 128
 # region_scan's probe: REGION_CAP terms, Cauchy when the partial sums
 # over the last 50 of them stay within REGION_THRESHOLD.
 REGION_CAP = 2000
@@ -65,13 +71,12 @@ class SuiteResult:
 
 @dataclass(frozen=True)
 class Suite:
-    """A verify suite.  Each phase is a pair (cases, body): cases(options)
-    is its number of cases and body(rng, options, case) runs one.
-    `defaults` holds every option the suite accepts."""
+    """A verify suite.  Each phase is a pair (cases, body): cases(samples)
+    gives the phase's case arguments and body(rng, case) runs one."""
 
     theorem: str
+    samples: int
     phases: tuple
-    defaults: dict
 
 
 def _params_str(params: PfqParams) -> str:
@@ -175,7 +180,7 @@ def _attempts(fn):
 _ALL_SHAPES = [(p, q) for p in range(4) for q in range(4)]
 
 
-def _idempotent_case(rng, o, case):
+def _idempotent_case(rng, case):
     """Engine components against the independent classical oracle."""
     p, q = _pick(rng, _ALL_SHAPES)
     params = _sample_params(rng, p, q)
@@ -188,10 +193,10 @@ def _idempotent_case(rng, o, case):
     values = hyper.pfq_components(params, z)
     oracle = hyper.per_component(hyper.oracle_pfq_complex, params, z)
     r1, r2 = map(identities.relative_residual, values, oracle)
-    return _row(case, params, z, r1, r2, r1 <= o["tol"] and r2 <= o["tol"])
+    return _row(case, params, z, r1, r2, r1 <= ORACLE_TOL and r2 <= ORACLE_TOL)
 
 
-def _classify_case(rng, o, case):
+def _classify_case(rng, case):
     """Trichotomy by shape."""
     p = int(rng.integers(0, 4))
     q = int(rng.integers(0, 4))
@@ -238,7 +243,7 @@ def _boundary_case(rng, eta_lo, eta_hi):
 def _boundary_body(eta_lo, eta_hi, side):
     """Cauchy behavior on the unit torus: side "+" must converge, "-" not."""
 
-    def body(rng, o, case):
+    def body(rng, case):
         got = _boundary_case(rng, eta_lo, eta_hi)
         if got is None:
             return None
@@ -255,7 +260,7 @@ def _boundary_body(eta_lo, eta_hi, side):
     return body
 
 
-def _examples_case(rng, o, case):
+def _examples_case(rng, case):
     """The three closed-form worked examples on one random ball point."""
     z = _ball_z(rng, rmin=0.08, rmax=0.8)
     one = BiComplex(1.0)
@@ -270,7 +275,8 @@ def _examples_case(rng, o, case):
     rows = []
     for label, name, value, closed in checks:
         r1, r2 = (identities.relative_residual(v, c) for _, v, c in components(value, closed))
-        rows.append(_row(f"{label}-{case}", name, z, r1, r2, r1 <= o["tol"] and r2 <= o["tol"]))
+        rows.append(_row(f"{label}-{case}", name, z, r1, r2,
+                         r1 <= EXAMPLES_TOL and r2 <= EXAMPLES_TOL))
     return rows
 
 
@@ -279,7 +285,7 @@ def _examples_case(rng, o, case):
 # ---------------------------------------------------------------------------
 
 
-def _euler_case(rng, o, case):
+def _euler_case(rng, case):
     p, q = _pick(rng, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
 
     def draw():
@@ -293,28 +299,26 @@ def _euler_case(rng, o, case):
     if params is None:
         return None
     z = _ball_z(rng, rmax=0.8)
-    curve = quad.ProductCurve(quad.CurveKind.UNIT_INTERVAL, o["nodes"])
-    return _report_row(case, params, z, quad.euler_integral(params, z, curve, o["tol"]))
+    return _report_row(case, params, z, quad.euler_integral(params, z))
 
 
-def _laplace_case(rng, o, case):
+def _laplace_case(rng, case):
     p, q = _pick(rng, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
     params = _sample_params(rng, p, q)
     v = _bc_idem(rng, (0.3, 2.5), (-0.4, 0.4))
     z = _ball_z(rng, rmax=0.75)
-    curve = quad.ProductCurve(quad.CurveKind.HALF_LINE, o["nodes"])
-    rep = quad.laplace_integral(v, params, z, curve, o["tol"])
+    rep = quad.laplace_integral(v, params, z)
     return _report_row(case, params, z, rep, v=format_bicomplex(v))
 
 
-def _double_case(rng, o, case):
+def _double_case(rng, case):
     p, q = _pick(rng, [(0, 0), (1, 1), (2, 1), (1, 2)])
     params = _sample_params(rng, p, q)
     m = _bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
     n = _bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
     z = _ball_z(rng, rmax=0.75)
-    curve = quad.ProductCurve(quad.CurveKind.UNIT_INTERVAL, o["nodes"])
-    rep = quad.double_integral(m, n, params, z, curve, o["tol"])
+    curve = quad.ProductCurve(quad.CurveKind.UNIT_INTERVAL, DOUBLE_NODES)
+    rep = quad.double_integral(m, n, params, z, curve)
     return _report_row(case, params, z, rep, m=format_bicomplex(m), n=format_bicomplex(n))
 
 
@@ -330,25 +334,25 @@ def _quadratic_body(relation):
     """Quadratic transform `relation`; a draw whose halved-shape series
     is not a valid sum is a failed attempt."""
 
-    def body(rng, o, case):
+    def body(rng, case):
         p, q = _pick(rng, _TRANSFORM_SHAPES)
 
         def draw():
             params = _sample_params(rng, p, q)
             z = _ball_z(rng, rmax=0.7)
-            return _report_row(case, params, z, relation(params, z, o["tol"]))
+            return _report_row(case, params, z, relation(params, z))
 
         return _attempts(draw)
 
     return body
 
 
-def _saalschutz_case(rng, o, case):
+def _saalschutz_case(rng, case):
     n = int(rng.integers(0, 7))
 
     def draw():
         a1, a2, b = (_bc_idem(rng, re=(0.2, 2.4), im=(-0.5, 0.5)) for _ in range(3))
-        return identities.saalschutz(n, a1, a2, b, o["tol"])
+        return identities.saalschutz(n, a1, a2, b)
 
     rep = _attempts(draw)
     if rep is None:
@@ -356,15 +360,15 @@ def _saalschutz_case(rng, o, case):
     return _report_row(case, f"n={n}", BiComplex(1.0), rep)
 
 
-def _derivative_case(rng, o, case):
+def _derivative_case(rng, case):
     p, q = _pick(rng, [(0, 0), (1, 1), (2, 1), (1, 2), (2, 2)])
     k = int(rng.integers(0, DERIVATIVE_KMAX + 1))
     params = _sample_params(rng, p, q)
     z = _ball_z(rng, rmax=0.7)
-    return _report_row(case, params, z, identities.derivative_relation(params, z, k, o["tol"]), k=k)
+    return _report_row(case, params, z, identities.derivative_relation(params, z, k), k=k)
 
 
-def _cauchy_riemann_case(rng, o, index):
+def _cauchy_riemann_case(rng, index):
     """Log-log slope of the CR finite-difference residual, in the
     argument (even `index`) and in one parameter's cartesian parts
     (odd `index`) of case index // 2.
@@ -415,7 +419,7 @@ def _contiguous_body(relation, beta_offset=0.0):
     """Contiguous `relation` under a random shift M; the betas start at
     0.4 + beta_offset."""
 
-    def body(rng, o, case):
+    def body(rng, case):
         p, q = _pick(rng, _CONTIGUOUS_SHAPES)
         shift = ShiftM(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
 
@@ -423,7 +427,7 @@ def _contiguous_body(relation, beta_offset=0.0):
             alphas = [_bc_idem(rng, re=(0.3, 2.2)) for _ in range(p)]
             lo = 0.4 + beta_offset
             betas = [_bc_idem(rng, re=(lo, lo + 2.2)) for _ in range(q)]
-            return relation(PfqParams(alphas, betas), _ball_z(rng, rmax=0.6), shift, o["tol"])
+            return relation(PfqParams(alphas, betas), _ball_z(rng, rmax=0.6), shift)
 
         rep = _attempts(draw)
         if rep is None:
@@ -433,7 +437,7 @@ def _contiguous_body(relation, beta_offset=0.0):
     return body
 
 
-def _recurrence_case(rng, o, case):
+def _recurrence_case(rng, case):
     """Coefficient recurrence at ulp accuracy."""
     p = int(rng.integers(0, 4))
     q = int(rng.integers(0, 4))
@@ -443,7 +447,7 @@ def _recurrence_case(rng, o, case):
                 ulps <= RECURRENCE_MAX_ULPS, ulps=ulps)
 
 
-def _operator_case(rng, o, case):
+def _operator_case(rng, case):
     """The differential operator's residual against its dropped-term bound."""
     p = int(rng.integers(0, 3))
     q = int(rng.integers(max(0, p - 1), 4))  # keep p <= q+1 for evaluation
@@ -464,7 +468,7 @@ _COHERENT_SHAPES = [(0, 0), (1, 1), (0, 1), (2, 1), (1, 2)]
 _EPS = float(np.finfo(float).eps)
 
 
-def _coherent_case(rng, o, case):
+def _coherent_case(rng, case):
     p, q = _pick(rng, _COHERENT_SHAPES)
     alphas = [_real_bc(rng) for _ in range(p)]
     betas = [_real_bc(rng) for _ in range(q)]
@@ -527,10 +531,9 @@ def _coherent_case(rng, o, case):
     return rows
 
 
-def _positivity_gate(rng, o, case):
+def _positivity_gate(rng, total):
     """One row: a sign flip in one component of one parameter, drawn
-    `samples` times, must be rejected every time."""
-    total = o["samples"]
+    `total` times, must be rejected every time."""
     rejected = 0
     for _ in range(total):
         p, q = _COHERENT_SHAPES[int(rng.integers(1, len(_COHERENT_SHAPES)))]  # at least one parameter
@@ -556,86 +559,75 @@ def _positivity_gate(rng, o, case):
 # ---------------------------------------------------------------------------
 
 
-def _samples(o):
-    return o["samples"]
+def _once(samples):
+    """The positivity gate's one case: all `samples` draws in one row."""
+    return [samples]
 
 
-def _suite(theorem, *phases, **defaults) -> Suite:
-    return Suite(theorem, phases, {"seed": 7, **defaults})
+def _fixed(count):
+    return lambda samples: range(count)
+
+
+def _suite(theorem, samples, body, *phases) -> Suite:
+    """`body` on cases 0 .. samples-1, then the further `phases`."""
+    return Suite(theorem, samples, ((range, body), *phases))
 
 
 SUITES = {
-    "thm2.1": _suite("thm2.1", (_samples, _idempotent_case), samples=1000, tol=1e-12),
+    "thm2.1": _suite("thm2.1", 1000, _idempotent_case),
     "thm2.2": _suite(
         "thm2.2",
-        (_samples, _classify_case),
-        (lambda o: BOUNDARY_CASES, _boundary_body(2.0, 4.0, "+")),
-        (lambda o: BOUNDARY_CASES, _boundary_body(-2.5, -0.3, "-")),
-        samples=200,
+        200,
+        _classify_case,
+        (_fixed(BOUNDARY_CASES), _boundary_body(2.0, 4.0, "+")),
+        (_fixed(BOUNDARY_CASES), _boundary_body(-2.5, -0.3, "-")),
     ),
-    "examples": _suite("examples", (_samples, _examples_case), samples=100, tol=1e-11),
-    "thm3.1": _suite("thm3.1", (_samples, _euler_case), samples=100, tol=1e-7, nodes=64),
-    "thm3.5": _suite("thm3.5", (_samples, _laplace_case), samples=100, tol=1e-7, nodes=64),
-    "thm3.8": _suite("thm3.8", (_samples, _double_case), samples=100, tol=1e-6, nodes=128),
-    "thm4.1": _suite("thm4.1", (_samples, _quadratic_body(identities.quad_even)),
-                     samples=500, tol=1e-9),
-    "thm4.2": _suite("thm4.2", (_samples, _quadratic_body(identities.quad_odd)),
-                     samples=500, tol=1e-9),
-    "thm4.3": _suite("thm4.3", (_samples, _saalschutz_case), samples=500, tol=1e-9),
-    "thm5.1": _suite("thm5.1", (_samples, _derivative_case), samples=500, tol=1e-9),
-    "thm5.2": _suite("thm5.2", (lambda o: 2 * o["samples"], _cauchy_riemann_case), samples=20),
-    "thm6.1": _suite("thm6.1", (_samples, _contiguous_body(identities.contiguous_alpha_plus)),
-                     samples=500, tol=1e-9),
-    "thm6.2": _suite("thm6.2", (_samples, _contiguous_body(identities.contiguous_alpha_minus)),
-                     samples=500, tol=1e-9),
+    "examples": _suite("examples", 100, _examples_case),
+    "thm3.1": _suite("thm3.1", 100, _euler_case),
+    "thm3.5": _suite("thm3.5", 100, _laplace_case),
+    "thm3.8": _suite("thm3.8", 100, _double_case),
+    "thm4.1": _suite("thm4.1", 500, _quadratic_body(identities.quad_even)),
+    "thm4.2": _suite("thm4.2", 500, _quadratic_body(identities.quad_odd)),
+    "thm4.3": _suite("thm4.3", 500, _saalschutz_case),
+    "thm5.1": _suite("thm5.1", 500, _derivative_case),
+    # two rows per sample: one in the argument, one in a parameter
+    "thm5.2": Suite("thm5.2", 20, ((lambda s: range(2 * s), _cauchy_riemann_case),)),
+    "thm6.1": _suite("thm6.1", 500, _contiguous_body(identities.contiguous_alpha_plus)),
+    "thm6.2": _suite("thm6.2", 500, _contiguous_body(identities.contiguous_alpha_minus)),
     # beta1 - M must stay a valid denominator parameter for shifts <= 3
-    "thm6.3": _suite("thm6.3",
-                     (_samples, _contiguous_body(identities.contiguous_beta_minus, 3.1)),
-                     samples=500, tol=1e-9),
-    "thm6.4": _suite("thm6.4", (_samples, _contiguous_body(identities.contiguous_beta_plus)),
-                     samples=500, tol=1e-9),
-    "thm7.1": _suite(
-        "thm7.1",
-        (_samples, _recurrence_case),
-        (lambda o: 20, _operator_case),
-        samples=100,
-    ),
-    "cs-eigen": _suite(
-        "cs",
-        (_samples, _coherent_case),
-        (lambda o: 1, _positivity_gate),
-        samples=100,
-    ),
+    "thm6.3": _suite("thm6.3", 500, _contiguous_body(identities.contiguous_beta_minus, 3.1)),
+    "thm6.4": _suite("thm6.4", 500, _contiguous_body(identities.contiguous_beta_plus)),
+    "thm7.1": _suite("thm7.1", 100, _recurrence_case, (_fixed(20), _operator_case)),
+    "cs-eigen": _suite("cs", 100, _coherent_case, (_once, _positivity_gate)),
 }
 
 
-def run_suite(theorem: str, **options) -> SuiteResult:
-    """Run one suite with `options` over its defaults.
+def run_suite(theorem: str, seed: int = 7, samples: int | None = None) -> SuiteResult:
+    """Run one suite with `samples` cases per sampled phase (the suite's
+    own count when None).
 
-    One generator, seeded by the `seed` option, feeds every case of
-    every phase in order.  The result counts each case that returned
-    no row as skipped; its `samples` is rows plus skips.
+    One generator, seeded by `seed`, feeds every case of every phase in
+    order.  The result counts each case that returned no row as
+    skipped; its `samples` is rows plus skips.
     """
     if theorem not in SUITES:
         raise KeyError(f"unknown suite {theorem!r}; known: {sorted(SUITES)}")
     suite = SUITES[theorem]
-    unknown = sorted(set(options) - set(suite.defaults))
-    if unknown:
-        raise TypeError(f"suite {theorem!r} takes {sorted(suite.defaults)}, not {unknown}")
-    o = {**suite.defaults, **options}
-    rng = np.random.default_rng(o["seed"])
+    if samples is None:
+        samples = suite.samples
+    rng = np.random.default_rng(seed)
     rows = []
     skipped = 0
     for cases, body in suite.phases:
-        for case in range(cases(o)):
-            out = body(rng, o, case)
+        for case in cases(samples):
+            out = body(rng, case)
             if out is None:
                 skipped += 1
             elif isinstance(out, dict):
                 rows.append(out)
             else:
                 rows.extend(out)
-    return _finish(suite.theorem, rows, skipped, o["seed"])
+    return _finish(suite.theorem, rows, skipped, seed)
 
 
 def region_scan(params: PfqParams, grid: int = 32, rmax: float = 1.25):

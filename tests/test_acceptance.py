@@ -3,15 +3,17 @@
 Each test prints a single PASS/FAIL line (visible with pytest -s and in
 failure reports).  Seeds and sample counts match the shipped `verify`
 suite defaults, so `bchyper verify all --seed 7` exercises the same
-sweeps.  The settings a suite fixes (boundary draws, thresholds, steps,
-bands) are pinned here from its rows or from the named `verify`
-constants.
+sweeps.  A suite runs each relation at the tolerance and rule size the
+relation declares; those floors, and the settings a suite fixes
+(boundary draws, thresholds, steps, bands), are pinned here as literal
+values, against the rows or the named constants.
 """
 
 import subprocess
 import sys
 import time
 
+import bchyper.quad as quad
 import bchyper.verify as verify
 from bchyper import BiComplex, PfqParams, ProductCurve, CurveKind, from_idempotent
 from bchyper import double_integral, euler_integral, laplace_integral
@@ -24,9 +26,9 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_idempotent_oracle_equivalence():
     start = time.time()
-    res = verify.run_suite("thm2.1", samples=1000, seed=7, tol=1e-12)
+    res = verify.run_suite("thm2.1", samples=1000, seed=7)
     elapsed = time.time() - start
-    ok = res.ok and elapsed <= 30.0
+    ok = res.ok and res.max_residual <= 1e-12 and elapsed <= 30.0
     _report(
         "1 idempotent-oracle equivalence",
         ok,
@@ -60,19 +62,24 @@ def test_criterion_2_convergence_trichotomy():
 
 
 def test_criterion_3_worked_examples():
-    res = verify.run_suite("examples", samples=100, seed=7, tol=1e-11)
+    res = verify.run_suite("examples", samples=100, seed=7)
     _report(
         "3 worked closed forms",
-        res.ok,
+        res.ok and res.max_residual <= 1e-11,
         f"(300 checks, max residual {res.max_residual:.2e})",
     )
 
 
 def test_criterion_4_integral_representations():
-    euler = verify.run_suite("thm3.1", samples=100, seed=7, tol=1e-7, nodes=64)
-    laplace = verify.run_suite("thm3.5", samples=100, seed=7, tol=1e-7, nodes=64)
-    double = verify.run_suite("thm3.8", samples=100, seed=7, tol=1e-6, nodes=128)
-    ok = euler.ok and laplace.ok and double.ok
+    euler = verify.run_suite("thm3.1", samples=100, seed=7)
+    laplace = verify.run_suite("thm3.5", samples=100, seed=7)
+    double = verify.run_suite("thm3.8", samples=100, seed=7)
+    ok = (
+        euler.ok and laplace.ok and double.ok
+        and euler.max_residual <= 1e-7 and laplace.max_residual <= 1e-7
+        and quad.DEFAULT_NODES == 64
+        and double.max_residual <= 1e-6 and verify.DOUBLE_NODES == 128
+    )
 
     # node halving degrades, doubling improves, down to the series floor
     floor = 5e-12
@@ -111,27 +118,28 @@ def test_criterion_4_integral_representations():
 
 def test_criterion_5_identity_suites():
     suites = {
-        "thm4.1": verify.run_suite("thm4.1", samples=500, seed=7, tol=1e-9),
-        "thm4.2": verify.run_suite("thm4.2", samples=500, seed=7, tol=1e-9),
-        "thm4.3": verify.run_suite("thm4.3", samples=500, seed=7, tol=1e-9),
-        "thm5.1": verify.run_suite("thm5.1", samples=500, seed=7, tol=1e-9),
-        "thm6.1": verify.run_suite("thm6.1", samples=500, seed=7, tol=1e-9),
-        "thm6.2": verify.run_suite("thm6.2", samples=500, seed=7, tol=1e-9),
-        "thm6.3": verify.run_suite("thm6.3", samples=500, seed=7, tol=1e-9),
-        "thm6.4": verify.run_suite("thm6.4", samples=500, seed=7, tol=1e-9),
+        "thm4.1": verify.run_suite("thm4.1", samples=500, seed=7),
+        "thm4.2": verify.run_suite("thm4.2", samples=500, seed=7),
+        "thm4.3": verify.run_suite("thm4.3", samples=500, seed=7),
+        "thm5.1": verify.run_suite("thm5.1", samples=500, seed=7),
+        "thm6.1": verify.run_suite("thm6.1", samples=500, seed=7),
+        "thm6.2": verify.run_suite("thm6.2", samples=500, seed=7),
+        "thm6.3": verify.run_suite("thm6.3", samples=500, seed=7),
+        "thm6.4": verify.run_suite("thm6.4", samples=500, seed=7),
         "thm7.1": verify.run_suite("thm7.1", samples=100, seed=7),
     }
     orders = {r["k"] for r in suites["thm5.1"].rows}
     ulps = [r["ulps"] for r in suites["thm7.1"].rows if "ulps" in r]
+    worst = max(r.max_residual for name, r in suites.items() if name != "thm7.1")
     ok = (
         all(r.ok for r in suites.values())
+        and worst <= 1e-9
         and orders == {0, 1, 2, 3}
         and len(ulps) == 100
         and all(u <= 2.0 for u in ulps)
         and verify.RECURRENCE_MAX_ULPS == 2.0
         and verify.RECURRENCE_COUNT == 200
     )
-    worst = max(r.max_residual for name, r in suites.items() if name != "thm7.1")
     _report(
         "5 identity suites",
         ok,

@@ -110,17 +110,25 @@ class TestVerify:
         assert code == 0
         assert "thm4.3: PASS" in out
 
-    def test_impossible_tolerance_fails_with_exit_2(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "thm4.1", "--samples", "10", "--tol", "1e-18",
-        )
+    def test_failing_relation_exits_2(self, capsys, monkeypatch):
+        def saalschutz(n, a1, a2, b):
+            residual = Hyperbolic.from_idempotent(1.0, 1.0)
+            return IdentityReport(BiComplex(0.0), BiComplex(1.0), residual, 1e-9)
+
+        monkeypatch.setattr(verify.identities, "saalschutz", saalschutz)
+        code, out, _ = run_cli(capsys, "verify", "thm4.3", "--samples", "3")
         assert code == 2
-        assert "FAIL" in out
+        assert "thm4.3: FAIL (0/3 cases" in out
 
     def test_cs_eigen_with_no_samples_does_not_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "cs-eigen", "--samples", "0")
         assert code != 0
         assert "PASS" not in out
+
+    def test_negative_samples_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "thm4.1", "--samples", "-3")
+        assert code == 1
+        assert out == "" and "usage error" in err
 
     def test_unknown_suite_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "thm99")
@@ -137,45 +145,36 @@ class TestVerify:
         assert doc["summary"]["ok"] is True
 
     def test_json_options_are_what_the_suite_received(self, capsys):
-        # thm2.2 takes no tolerance, so --tol must not show up as used
         code, out, _ = run_cli(
-            capsys, "verify", "thm2.2", "--samples", "5", "--seed", "1",
-            "--tol", "1e-30", "--format", "json",
+            capsys, "verify", "thm2.2", "--samples", "5", "--seed", "1", "--format", "json",
         )
         assert code == 0
+        doc = json.loads(out)
+        assert doc["config"] == {"suite": "thm2.2", "seed": 1, "samples": 5}
+        (result,) = doc["results"]
+        assert result["options"] == {"seed": 1, "samples": 5}
+        code, out, _ = run_cli(capsys, "verify", "thm4.3", "--samples", "0", "--format", "json")
         (result,) = json.loads(out)["results"]
-        assert "tol" not in result["options"]
-        assert result["options"]["samples"] == 5
-        code, out, _ = run_cli(
-            capsys, "verify", "thm3.1", "--samples", "2", "--seed", "1",
-            "--nodes", "32", "--format", "json",
-        )
-        assert code == 0
-        (result,) = json.loads(out)["results"]
-        assert result["options"] == {"seed": 1, "samples": 2, "nodes": 32}
+        assert result["options"] == {"seed": 7, "samples": 0}
 
     def test_suite_options_come_from_the_declarations(self):
-        assert set(verify.SUITES["thm3.1"].defaults) == {"samples", "seed", "tol", "nodes"}
-        with pytest.raises(TypeError):
-            verify.run_suite("thm2.2", samples=1, tol=1e-9)
+        assert verify.SUITES["thm3.1"].samples == 100
         # thm2.2 counts its shape cases and both boundary phases
         res = verify.run_suite("thm2.2", samples=3, seed=5)
         assert res.samples == 3 + 2 * 50 == len(res.rows) + res.skipped
 
-    def test_suites_accept_only_the_forwarded_options(self):
-        # every option a suite accepts can be set from the command line
-        for suite in verify.SUITES.values():
-            assert set(suite.defaults) <= {"seed", "samples", "tol", "nodes"}
-        fixed = {
-            "thm2.2": ("boundary", "threshold", "cap"),
-            "thm5.1": ("kmax",),
-            "thm5.2": ("hs", "slope_band", "min_signal"),
-            "thm7.1": ("max_ulps", "count"),
-        }
-        for name, options in fixed.items():
-            for option in options:
+    def test_suites_accept_only_the_forwarded_options(self, capsys):
+        # a suite takes a seed and a sample count, and nothing else: each
+        # relation runs at the tolerance and rule size it declares
+        for option, value in (("tol", 1e-3), ("nodes", 32)):
+            code, out, err = run_cli(
+                capsys, "verify", "thm3.1", "--samples", "1", f"--{option}", str(value),
+            )
+            assert code == 1
+            assert out == "" and "usage error" in err
+            for name in verify.SUITES:
                 with pytest.raises(TypeError):
-                    verify.run_suite(name, samples=1, **{option: None})
+                    verify.run_suite(name, samples=1, **{option: value})
 
     @pytest.mark.parametrize(
         "law, passes",

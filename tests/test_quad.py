@@ -136,6 +136,15 @@ class TestEuler:
         with pytest.raises(DomainError):
             euler_integral(PfqParams([1.0], [3.0]), from_idempotent(1.4, 0.2))
 
+    def test_divergent_inner_series_is_gated_at_once(self):
+        # the integrand's series is a 2F0, divergent at every nonzero
+        # argument: the gate refuses it before the array kernel runs
+        params = PfqParams([BiComplex(0.8), BiComplex(1.4), BiComplex(0.5)], [BiComplex(2.1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                euler_integral(params, from_idempotent(0.5, 0.4))
+
     def test_node_doubling_converges(self):
         params = PfqParams([BiComplex(0.8), BiComplex(1.4)], [BiComplex(2.1)])
         z = from_idempotent(0.93, 0.88)
