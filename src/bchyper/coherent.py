@@ -13,6 +13,12 @@ numbers, which restricts the parameters to real components with
 positive ratios.  rho grows factorially for p <= q, so entries past
 n ~ 170 can overflow to inf; coefficients divide by sqrt(rho) and
 degrade gracefully to exact zeros there.
+
+Each operation is written once for one tower and run on both: the
+tables through ``hyper.per_component``, the readers of the tables over
+``_towers``.  Positivity has one rule, ``_ladder_squares``:
+``CoherentSpec`` applies it to level 0 (the parameter ratio) and
+``build_tables`` to every level of the table.
 """
 
 from __future__ import annotations
@@ -42,15 +48,24 @@ COEFF_FLOOR = 1e-16
 TAIL_LIMIT = 1e-12
 
 
-def _real_components(value: BiComplex, name: str):
+def _ladder_squares(a, b, count):
+    """[f(n)^2 for n < count] on one tower's real parameters.
+
+    The one positivity rule: a level whose square is not strictly
+    positive raises PositivityError.  count = 1 is the parameter ratio
+    prod(beta)/prod(alpha).
+    """
     out = []
-    for s, comp in components(value):
-        if abs(comp.imag) > REAL_TOL * max(1.0, abs(comp)):
+    for n in range(count):
+        # the inverse coefficient ratio
+        num, den = kernels.ratio_parts(a, b, n)
+        f2 = (den / num).real
+        if not f2 > 0.0:
             raise PositivityError(
-                f"{name} component {s} = {comp} is not real; the parameter"
-                " function cannot be a positive hyperbolic number"
+                f"ladder factor squared is {f2} at level {n}; the parameter"
+                " function leaves the positive cone"
             )
-        out.append(comp.real)
+        out.append(f2)
     return out
 
 
@@ -66,24 +81,21 @@ class CoherentSpec:
         object.__setattr__(self, "z", BiComplex.coerce(self.z))
         if self.truncation < 1:
             raise InvalidParamsError("truncation must be positive")
-        for i, a in enumerate(self.params.alphas):
-            for s, comp in components(a):
-                if nearest_nonpositive_int(comp) is not None:
+        for s in (1, 2):
+            alphas, betas = self.params.comp_alphas(s), self.params.comp_betas(s)
+            for i, a in enumerate(alphas):
+                if nearest_nonpositive_int(a) is not None:
                     raise InvalidParamsError(
-                        f"alpha[{i}] component {s} = {comp} is zero or a negative integer"
+                        f"alpha[{i}] component {s} = {a} is zero or a negative integer"
                     )
-        ratios = [1.0, 1.0]
-        for a in self.params.alphas:
-            for k, x in enumerate(_real_components(a, "alpha")):
-                ratios[k] /= x
-        for b in self.params.betas:
-            for k, x in enumerate(_real_components(b, "beta")):
-                ratios[k] *= x
-        if ratios[0] <= 0.0 or ratios[1] <= 0.0:
-            raise PositivityError(
-                f"parameter ratio prod(beta)/prod(alpha) = ({ratios[0]}, {ratios[1]})"
-                " must be strictly positive in both components"
-            )
+            for name, values in (("alpha", alphas), ("beta", betas)):
+                for x in values:
+                    if abs(x.imag) > REAL_TOL * max(1.0, abs(x)):
+                        raise PositivityError(
+                            f"{name} component {s} = {x} is not real; the parameter"
+                            " function cannot be a positive hyperbolic number"
+                        )
+            _ladder_squares([a.real for a in alphas], [b.real for b in betas], 1)
         # the normalization argument must lie in the series region
         hyper.check_domain(self.params, self._zeta())
 
@@ -115,25 +127,15 @@ class LadderTables:
 
 def _component_tables(a, b, z, nmax):
     """(rho, f, raw coefficients) for one classical tower."""
+    f = np.sqrt(_ladder_squares([x.real for x in a], [x.real for x in b], nmax))
     rho = np.empty(nmax + 1, dtype=np.float64)
-    f = np.empty(nmax, dtype=np.float64)
     raw = np.empty(nmax + 1, dtype=np.complex128)
     rho[0] = 1.0
     raw[0] = 1.0
     zp = 1.0 + 0.0j
-    real_a, real_b = [x.real for x in a], [x.real for x in b]
     # rho may overflow to inf; its coefficient is then 0
     with np.errstate(over="ignore"):
         for n in range(nmax):
-            # the inverse coefficient ratio on the real parts
-            num, den = kernels.ratio_parts(real_a, real_b, n)
-            f2 = (den / num).real
-            if not f2 > 0.0:
-                raise PositivityError(
-                    f"ladder factor squared is {f2} at level {n}; the parameter"
-                    " function leaves the positive cone"
-                )
-            f[n] = math.sqrt(f2)
             rho[n + 1] = rho[n] * f[n] ** 2
             zp = zp * z
             raw[n + 1] = zp / math.sqrt(rho[n + 1]) if math.isfinite(rho[n + 1]) else 0.0
@@ -147,17 +149,15 @@ def build_tables(spec: CoherentSpec) -> LadderTables:
     The truncation grows (doubling, up to a hard cap) until both
     normalized tail coefficients satisfy |c_N|^2 < 1e-16.
     """
-    norm1, norm2 = _norm_components(spec)
+    norms = _norm_components(spec)
     nmax = spec.truncation
     while True:
-        (rho1, f1, raw1), (rho2, f2, raw2) = hyper.per_component(
-            _component_tables, spec.params, spec.z, nmax
-        )
-        last1 = abs(raw1[-1]) ** 2 / norm1
-        last2 = abs(raw2[-1]) ** 2 / norm2
-        if (last1 < COEFF_FLOOR and last2 < COEFF_FLOOR) or nmax >= HARD_TRUNCATION:
-            c1 = raw1 / math.sqrt(norm1)
-            c2 = raw2 / math.sqrt(norm2)
+        towers = hyper.per_component(_component_tables, spec.params, spec.z, nmax)
+        lasts = (abs(raw[-1]) ** 2 / norm for (_, _, raw), norm in zip(towers, norms))
+        if all(last < COEFF_FLOOR for last in lasts) or nmax >= HARD_TRUNCATION:
+            (rho1, f1, c1), (rho2, f2, c2) = (
+                (rho, f, raw / math.sqrt(norm)) for (rho, f, raw), norm in zip(towers, norms)
+            )
             # the result is cached and shared: freeze it against callers
             for arr in (rho1, rho2, f1, f2, c1, c2):
                 arr.setflags(write=False)
@@ -168,15 +168,17 @@ def build_tables(spec: CoherentSpec) -> LadderTables:
 
 
 def _norm_components(spec: CoherentSpec):
-    zeta = spec._zeta()
-    v1, v2 = hyper.pfq_components(spec.params, zeta)
-    return v1.real, v2.real
+    return [v.real for v in hyper.pfq_components(spec.params, spec._zeta())]
+
+
+def _towers(tables: LadderTables):
+    """(rho, f, c) of component 1, then of component 2."""
+    return (tables.rho1, tables.f1, tables.c1), (tables.rho2, tables.f2, tables.c2)
 
 
 def normalization(spec: CoherentSpec) -> BiComplex:
     """The series evaluated at the squared hyperbolic modulus of Z."""
-    n1, n2 = _norm_components(spec)
-    return BiComplex.from_idempotent(n1, n2)
+    return BiComplex.from_idempotent(*_norm_components(spec))
 
 
 def state_coefficients(spec: CoherentSpec):
@@ -186,15 +188,12 @@ def state_coefficients(spec: CoherentSpec):
     tail; a tail above 1e-12 raises TruncationError.
     """
     tables = build_tables(spec)
-    c1, c2 = tables.c1, tables.c2
-    tail1 = max(0.0, 1.0 - float(np.sum(np.abs(c1) ** 2)))
-    tail2 = max(0.0, 1.0 - float(np.sum(np.abs(c2) ** 2)))
-    if tail1 >= TAIL_LIMIT or tail2 >= TAIL_LIMIT:
+    tails = tuple(max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2))) for _, _, c in _towers(tables))
+    if max(tails) >= TAIL_LIMIT:
         raise TruncationError(
-            f"coefficient tail ({tail1}, {tail2}) exceeds {TAIL_LIMIT}"
-            f" at truncation {tables.nmax}"
+            f"coefficient tail {tails} exceeds {TAIL_LIMIT} at truncation {tables.nmax}"
         )
-    return [BiComplex.from_idempotent(u, v) for u, v in zip(c1, c2)]
+    return [BiComplex.from_idempotent(u, v) for u, v in zip(tables.c1, tables.c2)]
 
 
 def inner_product(spec_a: CoherentSpec, spec_b: CoherentSpec) -> BiComplex:
@@ -209,9 +208,12 @@ def inner_product(spec_a: CoherentSpec, spec_b: CoherentSpec) -> BiComplex:
         raise ParamMismatchError("states have different parameter vectors")
     a, b = build_tables(spec_a), build_tables(spec_b)
     k = min(len(a.c1), len(b.c1))
-    v1 = complex(np.sum(np.conj(a.c1[:k]) * b.c1[:k]))
-    v2 = complex(np.sum(np.conj(a.c2[:k]) * b.c2[:k]))
-    return BiComplex.from_idempotent(v1, v2)
+    return BiComplex.from_idempotent(
+        *(
+            complex(np.sum(np.conj(ca[:k]) * cb[:k]))
+            for (_, _, ca), (_, _, cb) in zip(_towers(a), _towers(b))
+        )
+    )
 
 
 def annihilate(spec: CoherentSpec) -> IdentityReport:
@@ -224,22 +226,19 @@ def annihilate(spec: CoherentSpec) -> IdentityReport:
     tail for a correct recurrence.
     """
     tables = build_tables(spec)
-    c1, c2 = tables.c1, tables.c2
     sides = []
-    for (_, zc), f, c in zip(components(spec.z), (tables.f1, tables.f2), (c1, c2)):
+    for (_, zc), (_, f, c) in zip(components(spec.z), _towers(tables)):
         lowered = f * c[1:]
-        target = zc * c[:-1]
-        misfit = float(np.linalg.norm(lowered - target))
+        misfit = float(np.linalg.norm(lowered - zc * c[:-1]))
         weight = float(np.sum(np.abs(c[:-1]) ** 2))
         rayleigh = complex(np.sum(np.conj(c[:-1]) * lowered) / weight) if weight > 0 else 0j
-        sides.append((rayleigh, zc, misfit))
-    bound1 = abs(c1[-1]) * tables.f1[-1]
-    bound2 = abs(c2[-1]) * tables.f2[-1]
+        sides.append((rayleigh, zc, misfit, abs(c[-1]) * f[-1]))
+    lhs, rhs, misfit, bound = zip(*sides)
     return IdentityReport(
-        lhs=BiComplex.from_idempotent(sides[0][0], sides[1][0]),
-        rhs=BiComplex.from_idempotent(sides[0][1], sides[1][1]),
-        residual=Hyperbolic.from_idempotent(sides[0][2], sides[1][2]),
-        tolerance=max(bound1, bound2, 64 * np.finfo(float).eps * tables.nmax),
+        lhs=BiComplex.from_idempotent(*lhs),
+        rhs=BiComplex.from_idempotent(*rhs),
+        residual=Hyperbolic.from_idempotent(*misfit),
+        tolerance=max(*bound, 64 * np.finfo(float).eps * tables.nmax),
     )
 
 
@@ -253,7 +252,7 @@ def commutator_diagonal(spec: CoherentSpec, n: int) -> BiComplex:
     if not 1 <= n < tables.nmax:
         raise IndexError(f"level must be in [1, {tables.nmax})")
     out = []
-    for f, rho in ((tables.f1, tables.rho1), (tables.f2, tables.rho2)):
+    for rho, f, _ in _towers(tables):
         direct = f[n] ** 2 - f[n - 1] ** 2
         if math.isfinite(rho[n + 1]) and math.isfinite(rho[n]):
             ratio = rho[n + 1] / rho[n] - rho[n] / rho[n - 1]
@@ -263,7 +262,7 @@ def commutator_diagonal(spec: CoherentSpec, n: int) -> BiComplex:
                     f"commutator forms disagree at level {n}: {direct} vs {ratio}"
                 )
         out.append(direct)
-    return BiComplex.from_idempotent(out[0], out[1])
+    return BiComplex.from_idempotent(*out)
 
 
 def ladder_matrices(spec: CoherentSpec, size: int):
@@ -274,14 +273,7 @@ def ladder_matrices(spec: CoherentSpec, size: int):
     the raising matrix is exactly the adjoint of the lowering one.
     """
     tables = build_tables(spec)
-    if size > tables.nmax:
-        raise IndexError("matrix size exceeds the table truncation")
-    lower = []
-    upper = []
-    for f in (tables.f1, tables.f2):
-        m = np.zeros((size, size), dtype=np.complex128)
-        for n in range(size - 1):
-            m[n, n + 1] = f[n]
-        lower.append(m)
-        upper.append(m.T.copy())
-    return (lower[0], lower[1]), (upper[0], upper[1])
+    if not 1 <= size <= tables.nmax:
+        raise IndexError(f"matrix size must be in [1, {tables.nmax}]")
+    lower = tuple(np.diag(f[: size - 1], 1).astype(np.complex128) for _, f, _ in _towers(tables))
+    return lower, tuple(m.T.copy() for m in lower)
