@@ -137,30 +137,37 @@ class BiComplex:
 
 
 class Hyperbolic:
-    """Immutable hyperbolic number x + k*y with real x, y."""
+    """Immutable hyperbolic number x + k*y with real x, y, stored as its
+    idempotent pair (comp1, comp2) = (x + y, x - y).
 
-    __slots__ = ("x", "y")
+    A pair given to ``from_idempotent`` is kept as given, so a residual
+    computed per component reads back unchanged; x and y are derived.
+    """
+
+    __slots__ = ("comp1", "comp2")
 
     def __init__(self, x=0.0, y=0.0):
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
+        x, y = float(x), float(y)
+        object.__setattr__(self, "comp1", x + y)
+        object.__setattr__(self, "comp2", x - y)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hyperbolic is immutable")
 
     @property
-    def comp1(self) -> float:
-        return self.x + self.y
+    def x(self) -> float:
+        return (self.comp1 + self.comp2) / 2.0
 
     @property
-    def comp2(self) -> float:
-        return self.x - self.y
+    def y(self) -> float:
+        return (self.comp1 - self.comp2) / 2.0
 
     @classmethod
     def from_idempotent(cls, c1, c2) -> "Hyperbolic":
-        c1 = float(c1)
-        c2 = float(c2)
-        return cls((c1 + c2) / 2.0, (c1 - c2) / 2.0)
+        h = object.__new__(cls)
+        object.__setattr__(h, "comp1", float(c1))
+        object.__setattr__(h, "comp2", float(c2))
+        return h
 
     @classmethod
     def coerce(cls, value) -> "Hyperbolic":
@@ -177,12 +184,12 @@ class Hyperbolic:
 
     def __add__(self, other):
         other = Hyperbolic.coerce(other)
-        return Hyperbolic(self.x + other.x, self.y + other.y)
+        return Hyperbolic.from_idempotent(self.comp1 + other.comp1, self.comp2 + other.comp2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Hyperbolic(-self.x, -self.y)
+        return Hyperbolic.from_idempotent(-self.comp1, -self.comp2)
 
     def __sub__(self, other):
         return self + (-Hyperbolic.coerce(other))
@@ -207,7 +214,7 @@ class Hyperbolic:
         return hash(self.to_bicomplex())
 
     def __repr__(self):
-        return f"Hyperbolic({self.x!r}, {self.y!r})"
+        return f"Hyperbolic.from_idempotent({self.comp1!r}, {self.comp2!r})"
 
     def max_comp(self) -> float:
         return max(self.comp1, self.comp2)
