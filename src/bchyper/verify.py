@@ -477,18 +477,29 @@ def _coherent_case(rng, case):
     tables = coherent.build_tables(spec)
     rows = []
 
-    # recurrence exactness over the finite prefix of the table
-    worst = 0.0
-    for rho, f in ((tables.rho1, tables.f1), (tables.rho2, tables.f2)):
-        finite = np.isfinite(rho)
-        upto = int(np.argmin(finite)) if not finite.all() else len(rho)
-        for nn in range(upto - 1):
-            lhs = rho[nn + 1]
-            rhs = rho[nn] * f[nn] ** 2
-            scale = np.spacing(max(abs(lhs), abs(rhs)))
-            if scale > 0:
-                worst = max(worst, abs(lhs - rhs) / scale)
-    rows.append(_row(f"recurrence-{case}", spec.params, z, worst, worst, worst <= 2.0))
+    # rho(n) against n! prod (beta)_n / prod (alpha)_n over the finite
+    # prefix of the table, as one running product in real arithmetic that
+    # shares no operation with build_tables (no complex division, sqrt or
+    # square); level n may carry 2(n+1)(p+q+3) roundings
+    good = True
+    worst = []
+    for s, rho in ((1, tables.rho1), (2, tables.rho2)):
+        ref, err = 1.0, 0.0
+        for nn, got in enumerate(rho.tolist()):
+            if not math.isfinite(got):
+                break
+            rel = abs(got - ref) / ref
+            err = max(err, rel)
+            good = good and rel <= 2 * (nn + 1) * (p + q + 3) * _EPS
+            # the level's factor first, so ref overflows only where rho does
+            step = nn + 1.0
+            for b in spec.params.comp_betas(s):
+                step *= b.real + nn
+            for a in spec.params.comp_alphas(s):
+                step /= a.real + nn
+            ref *= step
+        worst.append(err)
+    rows.append(_row(f"recurrence-{case}", spec.params, z, worst[0], worst[1], good))
 
     # eigenstate property with the tail bound, edge term included
     good = True

@@ -48,6 +48,19 @@ class TestSpecValidation:
         with pytest.raises(PositivityError):
             build_tables(spec)
 
+    @pytest.mark.parametrize(
+        "alphas, betas, error",
+        [
+            ([from_idempotent(1.5, -2.0)], [1.5], InvalidParamsError),  # alpha pole
+            ([from_idempotent(1.5, 1.5 + 0.4j)], [1.5], PositivityError),  # complex alpha
+            ([1.5], [from_idempotent(1.5, 1.5 - 0.4j)], PositivityError),  # complex beta
+            ([from_idempotent(1.3, -1.3)], [1.5], PositivityError),  # negative ratio
+        ],
+    )
+    def test_fault_in_component_two_only(self, alphas, betas, error):
+        with pytest.raises(error):
+            CoherentSpec(PfqParams(alphas, betas), from_idempotent(0.2, 0.3))
+
 
 class TestTables:
     def test_seed_value(self):
@@ -248,3 +261,73 @@ class TestLadder:
             commutator_diagonal(GLAUBER, 0)
         with pytest.raises(IndexError):
             commutator_diagonal(GLAUBER, 10**6)
+
+    def test_ladder_matrix_size_bounds(self):
+        for size in (0, build_tables(GLAUBER).nmax + 1):
+            with pytest.raises(IndexError):
+                ladder_matrices(GLAUBER, size)
+
+
+def _swap(value):
+    return from_idempotent(value.idem2, value.idem1)
+
+
+class TestTowers:
+    """Each operation is one function per idempotent tower: exchanging the
+    components of the parameters and of Z exchanges every output."""
+
+    def test_swapping_components_swaps_every_output(self):
+        # dyadic components, so the idempotent round trip is exact
+        alphas = [from_idempotent(1.25, 0.75)]
+        betas = [from_idempotent(2.5, 1.375), from_idempotent(0.625, 1.75)]
+        z = from_idempotent(0.375 + 0.25j, -0.5 + 0.125j)
+        spec = CoherentSpec(PfqParams(alphas, betas), z)
+        swapped = CoherentSpec(
+            PfqParams([_swap(a) for a in alphas], [_swap(b) for b in betas]), _swap(z)
+        )
+        assert (swapped.z.idem1, swapped.z.idem2) == (z.idem2, z.idem1)
+
+        def same(x, y):
+            return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+        def mirrored(u, v):
+            return (u.idem1, u.idem2) == (v.idem2, v.idem1)
+
+        t, u = build_tables(spec), build_tables(swapped)
+        assert t.nmax == u.nmax
+        for name in ("rho", "f", "c"):
+            assert same(getattr(t, name + "1"), getattr(u, name + "2"))
+            assert same(getattr(t, name + "2"), getattr(u, name + "1"))
+        a, b = annihilate(spec), annihilate(swapped)
+        assert mirrored(a.lhs, b.lhs) and mirrored(a.rhs, b.rhs)
+        assert (a.residual.comp1, a.residual.comp2) == (b.residual.comp2, b.residual.comp1)
+        assert a.tolerance == b.tolerance
+        assert mirrored(inner_product(spec, spec), inner_product(swapped, swapped))
+        assert mirrored(normalization(spec), normalization(swapped))
+        for n in (1, 4, 11):
+            assert mirrored(commutator_diagonal(spec, n), commutator_diagonal(swapped, n))
+        (lo1, lo2), (up1, up2) = ladder_matrices(spec, 12)
+        (sl1, sl2), (su1, su2) = ladder_matrices(swapped, 12)
+        for x, y in ((lo1, sl2), (lo2, sl1), (up1, su2), (up2, su1)):
+            assert same(x, y)
+
+    def test_recurrence_rows_catch_a_perturbed_ladder_factor(self, monkeypatch):
+        # f(n)^2 off by a relative 1e-13 keeps the tables self-consistent,
+        # so the eigen, norm and adjoint rows still pass; only the rows that
+        # rebuild rho from the parameters can see it
+        import bchyper.coherent as coh
+        from bchyper import verify
+
+        exact = coh._ladder_squares
+        def perturbed(a, b, count):
+            return [x * (1 + 1e-13) for x in exact(a, b, count)]
+
+        monkeypatch.setattr(coh, "_ladder_squares", perturbed)
+        coh.build_tables.cache_clear()
+        try:
+            rows = verify.run_suite("cs-eigen", seed=7, samples=10).rows
+        finally:
+            coh.build_tables.cache_clear()
+        recurrence = [r for r in rows if r["case"].startswith("recurrence-")]
+        assert len(recurrence) == 10 and not any(r["passed"] for r in recurrence)
+        assert all(r["passed"] for r in rows if not r["case"].startswith("recurrence-"))
