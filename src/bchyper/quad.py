@@ -13,10 +13,11 @@ real parts of the exponents (eigvalsh of a real symmetric matrix)
 gives the starting nodes, and simultaneous Aberth-Ehrlich steps, with
 p_n / p_n' of the characteristic polynomial from the orthonormal
 three-term recurrence, move all of them to the complex roots at once.
-The weights are mu0 / sum_j q_j(x)^2 over the orthonormal polynomials
-q_j at the final nodes, which is Golub-Welsch's v_0^2 / (v . v) for the
-eigenvector v_j = q_j(x).  The rule is exact for polynomials of degree
-2n-1 against the complex weight.  The half line is split at t = 1:
+The weights are the weight's mass over sum_j q_j(x)^2 over the
+orthonormal polynomials q_j at the final nodes, which is Golub-Welsch's
+mu0 v_0^2 / (v . v) for the eigenvector v_j = q_j(x); on [0, 1] the
+mass is B(A+1, B+1), with no power of two to cancel.  The rule is
+exact for polynomials of degree 2n-1 against the complex weight.  The half line is split at t = 1:
 complex-exponent Jacobi on [0,1] captures the t^(v-1) endpoint,
 ordinary Gauss-Laguerre, built the same way from its real Jacobi
 matrix, handles the smooth tail.
@@ -141,10 +142,10 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     beta = complex(t_exp)
     if alpha.real <= -1.0 or beta.real <= -1.0:
         raise PreconditionError("weight exponents must have real part > -1")
-    ab = alpha + beta
-    mu0 = (
-        2.0 ** (ab + 1.0) * complex_gamma(alpha + 1.0) * complex_gamma(beta + 1.0)
-        / complex_gamma(ab + 2.0)
+    # the weight's mass on [0, 1], B(A+1, B+1): Golub-Welsch's mu0 on
+    # [-1, 1] times the 2^-(A+B+1) of the map t = (1+x)/2
+    mass = (
+        complex_gamma(alpha + 1.0) * complex_gamma(beta + 1.0) / complex_gamma(alpha + beta + 2.0)
     )
     diag, off = _jacobi_coefficients(n, alpha, beta)
     sb = np.sqrt(off)
@@ -175,7 +176,7 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
         )
     x = np.sort_complex(x)
     t = (1.0 + x) / 2.0
-    weights = mu0 / _eigenvector_norm(x, diag, sb) * 2.0 ** (-(ab + 1.0))
+    weights = mass / _eigenvector_norm(x, diag, sb)
     return t, weights
 
 
