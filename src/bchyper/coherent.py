@@ -208,12 +208,11 @@ def inner_product(spec_a: CoherentSpec, spec_b: CoherentSpec) -> BiComplex:
         raise ParamMismatchError("states have different parameter vectors")
     a, b = build_tables(spec_a), build_tables(spec_b)
     k = min(len(a.c1), len(b.c1))
-    return BiComplex.from_idempotent(
-        *(
-            complex(np.sum(np.conj(ca[:k]) * cb[:k]))
-            for (_, _, ca), (_, _, cb) in zip(_towers(a), _towers(b))
-        )
-    )
+    overlap = [
+        complex(np.sum(np.conj(ca[:k]) * cb[:k]))
+        for (_, _, ca), (_, _, cb) in zip(_towers(a), _towers(b))
+    ]
+    return BiComplex.from_idempotent(*overlap)
 
 
 def annihilate(spec: CoherentSpec) -> IdentityReport:

@@ -17,10 +17,10 @@ The weights are the weight's mass over sum_j q_j(x)^2 over the
 orthonormal polynomials q_j at the final nodes, which is Golub-Welsch's
 mu0 v_0^2 / (v . v) for the eigenvector v_j = q_j(x); on [0, 1] the
 mass is B(A+1, B+1), with no power of two to cancel.  The rule is
-exact for polynomials of degree 2n-1 against the complex weight.  The half line is split at t = 1:
-complex-exponent Jacobi on [0,1] captures the t^(v-1) endpoint,
-ordinary Gauss-Laguerre, built the same way from its real Jacobi
-matrix, handles the smooth tail.
+exact for polynomials of degree 2n-1 against the complex weight.  The
+half line is split at t = 1: complex-exponent Jacobi on [0,1] captures
+the t^(v-1) endpoint, ordinary Gauss-Laguerre, built the same way from
+its real Jacobi matrix, handles the smooth tail.
 
 Each representation is a classical component worker (``_euler_comp``,
 ``_laplace_comp``, ``_double_comp``) returning (quadrature, series) for

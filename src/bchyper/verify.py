@@ -479,8 +479,8 @@ def _coherent_case(rng, case):
 
     # rho(n) against n! prod (beta)_n / prod (alpha)_n over the finite
     # prefix of the table, as one running product in real arithmetic that
-    # shares no operation with build_tables (no complex division, sqrt or
-    # square); level n may carry 2(n+1)(p+q+3) roundings
+    # shares no intermediate with build_tables (no complex division, sqrt
+    # or square); level n passes within 2(n+1)(p+q+3) eps
     good = True
     worst = []
     for s, rho in ((1, tables.rho1), (2, tables.rho2)):
