@@ -22,11 +22,19 @@ half line is split at t = 1: complex-exponent Jacobi on [0,1] captures
 the t^(v-1) endpoint, ordinary Gauss-Laguerre, built the same way from
 its real Jacobi matrix, handles the smooth tail.
 
+``jacobi_rule_01`` builds a stack of R rules in one pass: one batched
+eigvalsh, one Aberth loop in which the recurrences run on the rows
+still moving (a row leaves once it settles), one weight pass.  Each row
+is bit for bit the rule built alone, which is the R = 1 case of the
+same code.
+
 Each representation is a classical component worker (``_euler_comp``,
 ``_laplace_comp``, ``_double_comp``) returning (quadrature, series) for
 one component; ``hyper.per_component`` runs it on both components and
 ``identities.make_report`` glues the pairs, as for every relation in
-``identities``.
+``identities``.  The Gauss rules of both components are built first,
+in one stacked call (``_component_rules``), and each worker receives
+its own component's rows.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,22 +100,34 @@ def _jacobi_coefficients(n: int, alpha, beta):
     return diag, off
 
 
+def _by_step(a):
+    """The last axis of `a` moved to the front, each entry broadcast
+    over the nodes: entry j of a (..., n) stack is a (..., 1) array."""
+    return np.moveaxis(a, -1, 0)[..., None]
+
+
 def _newton_ratio(x, diag, sb):
     """p_n(x) / p_n'(x) for the characteristic polynomial p_n = det(x - T).
 
     Runs the orthonormal recurrence sb[j] q_{j+1} = (x - diag[j]) q_j
     - sb[j-1] q_{j-1}, which stays O(1) where the monic p_n underflows
-    at large n.  q and q' advance together as the rows of one
-    (2, len(x)) array, real or complex as x and diag are.  The last step
-    has no sb to divide by; a constant factor cancels in the ratio anyway.
+    at large n.  x is (..., m) with diag (..., n) and sb (..., n - 1),
+    one Jacobi matrix per row of a stack (or a lone 1-D rule); q and q'
+    advance together as the two halves of one (2, ..., m) array, real
+    or complex as x and diag are.  The last step has no sb to divide
+    by; a constant factor cancels in the ratio anyway.
     """
-    inv_sb = np.append(1.0 / sb, 1.0)
-    scaled = (x[None, :] - diag[:, None]) * inv_sb[:, None]
-    shift = np.concatenate(([0.0], sb)) * inv_sb
-    prev = np.zeros((2, len(x)), dtype=scaled.dtype)
+    edge = sb.shape[:-1] + (1,)
+    inv_sb = np.concatenate((1.0 / sb, np.ones(edge)), axis=-1)
+    shift = _by_step(np.concatenate((np.zeros(edge), sb), axis=-1) * inv_sb)
+    inv_sb = _by_step(inv_sb)
+    # the (n, ..., m) table of (x - diag[j]) / sb[j], built in place
+    scaled = x[None] - _by_step(diag)
+    scaled *= inv_sb
+    prev = np.zeros((2,) + x.shape, dtype=scaled.dtype)
     cur = np.zeros_like(prev)
     cur[0] = 1.0
-    for j in range(len(diag)):
+    for j in range(diag.shape[-1]):
         nxt = scaled[j] * cur
         nxt[1] += inv_sb[j] * cur[0]
         nxt -= shift[j] * prev
@@ -115,11 +136,13 @@ def _newton_ratio(x, diag, sb):
 
 
 def _eigenvector_norm(x, diag, sb):
-    """sum_j q_j(x)^2 over the orthonormal polynomials q_0 = 1, ..., q_{n-1}.
+    """sum_j q_j(x)^2 over the orthonormal polynomials q_0 = 1, ..., q_{n-1},
+    with x, diag and sb stacked as for ``_newton_ratio``.
 
     q_j(x) is the eigenvector of the Jacobi matrix for the eigenvalue x,
     so mu0 / this sum is Golub-Welsch's weight mu0 v_0^2 / (v . v).
     """
+    diag, sb = _by_step(diag), _by_step(sb)
     q_prev, q = np.zeros_like(x), np.ones_like(x)
     norm = np.ones_like(x)
     for j in range(len(diag) - 1):
@@ -132,51 +155,95 @@ def _eigenvector_norm(x, diag, sb):
     return norm
 
 
+def _repulsion(x):
+    """The Aberth sum over k != i of 1 / (x_i - x_k), one row of the
+    (R, m) stack at a time, so the gap block stays (m, m)."""
+    out = np.empty_like(x)
+    for r, row in enumerate(x):
+        gaps = row[:, None] - row[None, :]
+        np.fill_diagonal(gaps, math.inf)
+        out[r] = np.sum(1.0 / gaps, axis=1)
+    return out
+
+
 def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     """Nodes and weights for integral_0^1 t^B (1-t)^A g(t) dt.
 
     B = t_exp and A = one_minus_t_exp may be complex with real part
-    > -1.  Returns complex nodes (near [0,1]) and weights.
+    > -1.  Given two numbers, returns complex nodes (near [0,1]) and
+    weights as (n,) arrays.  Given two equal-length sequences of R
+    exponents, returns (R, n) arrays, row r the rule for (B[r], A[r]):
+    the R rules are built in one stacked pass (one batched eigvalsh,
+    one Aberth loop whose recurrences run on the rows still moving, one
+    weight pass), and each row is bit for bit the rule built alone.
     """
-    alpha = complex(one_minus_t_exp)
-    beta = complex(t_exp)
-    if alpha.real <= -1.0 or beta.real <= -1.0:
-        raise PreconditionError("weight exponents must have real part > -1")
-    # the weight's mass on [0, 1], B(A+1, B+1): Golub-Welsch's mu0 on
-    # [-1, 1] times the 2^-(A+B+1) of the map t = (1+x)/2
-    mass = (
-        complex_gamma(alpha + 1.0) * complex_gamma(beta + 1.0) / complex_gamma(alpha + beta + 2.0)
-    )
-    diag, off = _jacobi_coefficients(n, alpha, beta)
-    sb = np.sqrt(off)
+    shape = np.shape(t_exp)
+    if np.shape(one_minus_t_exp) != shape or len(shape) > 1 or 0 in shape:
+        raise ValueError(
+            "t_exp and one_minus_t_exp must be two numbers or two nonempty"
+            f" sequences of equal length, got shapes {shape} and {np.shape(one_minus_t_exp)}"
+        )
+    betas = [complex(b) for b in np.ravel(t_exp)]
+    alphas = [complex(a) for a in np.ravel(one_minus_t_exp)]
+    for r, (beta, alpha) in enumerate(zip(betas, alphas)):
+        if alpha.real <= -1.0 or beta.real <= -1.0:
+            raise PreconditionError(
+                f"weight exponents must have real part > -1, got t_exp {beta}"
+                f" and one_minus_t_exp {alpha} in rule {r}"
+            )
+    count = len(betas)
+    mass = np.empty((count, 1), dtype=np.complex128)
+    diag = np.empty((count, n), dtype=np.complex128)
+    off = np.empty((count, n - 1), dtype=np.complex128)
     # Start from the real rule at (Re A, Re B): eigvalsh reads only the
-    # lower triangle of its real symmetric Jacobi matrix.
-    real_diag, real_off = _jacobi_coefficients(n, alpha.real, beta.real)
-    real_jacobi = np.diag(real_diag) + np.diag(np.sqrt(real_off), -1)
+    # lower triangle of each real symmetric Jacobi matrix.
+    real_jacobi = np.zeros((count, n, n))
+    i = np.arange(n)
+    for r, (beta, alpha) in enumerate(zip(betas, alphas)):
+        # the weight's mass on [0, 1], B(A+1, B+1): Golub-Welsch's mu0 on
+        # [-1, 1] times the 2^-(A+B+1) of the map t = (1+x)/2
+        mass[r] = (
+            complex_gamma(alpha + 1.0) * complex_gamma(beta + 1.0)
+            / complex_gamma(alpha + beta + 2.0)
+        )
+        diag[r], off[r] = _jacobi_coefficients(n, alpha, beta)
+        real_diag, real_off = _jacobi_coefficients(n, alpha.real, beta.real)
+        real_jacobi[r, i, i] = real_diag
+        real_jacobi[r, i[1:], i[:-1]] = np.sqrt(real_off)
+    sb = np.sqrt(off)
     x = np.linalg.eigvalsh(real_jacobi).astype(np.complex128)
-    # Aberth-Ehrlich steps on all nodes at once.  The repulsion sum keeps
-    # two nodes from settling on the same root.
-    last = math.inf
+    # Aberth-Ehrlich steps on all nodes of the rows still moving.  The
+    # repulsion sum keeps two nodes from settling on the same root.
+    moving = np.arange(count)
+    last = np.full(count, math.inf)
     for _ in range(MAX_ABERTH_STEPS):
-        ratio = _newton_ratio(x, diag, sb)
-        gaps = x[:, None] - x[None, :]
-        np.fill_diagonal(gaps, math.inf)
-        corr = ratio / (1.0 - ratio * np.sum(1.0 / gaps, axis=1))
-        x = x - corr
-        size = float(np.max(np.abs(corr)))
+        xm = x[moving]
+        ratio = _newton_ratio(xm, diag[moving], sb[moving])
+        corr = ratio / (1.0 - ratio * _repulsion(xm))
+        x[moving] = xm - corr
+        size = np.max(np.abs(corr), axis=1)
         # Near large imaginary exponents the corrections level off at a
-        # floor set by conditioning; stop there once they stop halving.
-        if size <= ABERTH_TOL or (size <= ABERTH_FLOOR_START and size > last / 2.0):
+        # floor set by conditioning; a row stops there once they stop halving.
+        floor = (size <= ABERTH_FLOOR_START) & (size > last[moving] / 2.0)
+        settled = (size <= ABERTH_TOL) | floor
+        last[moving] = size
+        moving = moving[~settled]
+        if not len(moving):
             break
-        last = size
     else:
         raise NoConvergenceError(
-            f"Gauss rule nodes did not settle in {MAX_ABERTH_STEPS} Aberth steps"
-            f" (last correction {size:.3e})"
+            f"Gauss rule nodes did not settle in {MAX_ABERTH_STEPS} Aberth steps: "
+            + "; ".join(
+                f"t_exp {betas[r]}, one_minus_t_exp {alphas[r]}"
+                f" (last correction {last[r]:.3e})"
+                for r in moving
+            )
         )
     x = np.sort_complex(x)
     t = (1.0 + x) / 2.0
     weights = mass / _eigenvector_norm(x, diag, sb)
+    if not shape:
+        return t[0], weights[0]
     return t, weights
 
 
@@ -239,9 +306,31 @@ def _inner_values(a, b, args):
     return values
 
 
-def _euler_comp(a, b, z, nodes):
+class _PerComponent(NamedTuple):
+    """One value per idempotent component, split by ``components`` as a
+    bicomplex number is."""
+
+    idem1: object
+    idem2: object
+
+
+def _component_rules(nodes: int, exponents) -> _PerComponent:
+    """Every Gauss rule of both idempotent components, from one stacked
+    ``jacobi_rule_01`` call.
+
+    `exponents` holds, per component, the list of its rules'
+    (t_exp, one_minus_t_exp) pairs; the result holds, per component,
+    the list of their (t, w) rows.
+    """
+    one, two = exponents
+    t, w = jacobi_rule_01(nodes, *zip(*one, *two))
+    rules = list(zip(t, w))
+    return _PerComponent(rules[: len(one)], rules[len(one) :])
+
+
+def _euler_comp(a, b, z, rules):
     """Component worker: (beta-kernel quadrature, series) at z."""
-    t, w = jacobi_rule_01(nodes, a[0] - 1.0, b[0] - a[0] - 1.0)
+    [(t, w)] = rules
     integral = np.sum(w * _inner_values(a[1:], b[1:], z * t))
     pre = complex_gamma(b[0]) / (complex_gamma(a[0]) * complex_gamma(b[0] - a[0]))
     return complex(pre * integral), hyper.component_series(a, b, z)[0]
@@ -271,18 +360,21 @@ def euler_integral(
     _positive_components(b1 - a1, "beta[0] - alpha[0]")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    return make_report(per_component(_euler_comp, params, z, curve.nodes), tol)
+    rules = _component_rules(
+        curve.nodes, [[(a - 1.0, b - a - 1.0)] for _, a, b in components(a1, b1)]
+    )
+    return make_report(per_component(_euler_comp, params, z, rules), tol)
 
 
-def _laplace_comp(a, b, z, v, nodes):
+def _laplace_comp(a, b, z, v, rules):
     """Component worker: (exponential-kernel quadrature, series) at z."""
     # [0, 1]: the complex-exponent endpoint is part of the weight.
-    t1, w1 = jacobi_rule_01(nodes, v - 1.0, 0.0)
+    [(t1, w1)] = rules
     piece1 = np.sum(w1 * np.exp(-t1) * _inner_values(a, b, z * t1))
     # [1, inf): smooth integrand, plain Gauss-Laguerre after t = 1 + u,
     # truncated once the weighted terms stop mattering.
     piece2 = 0.0 + 0.0j
-    for u, wl in zip(*_laguerre_rule(nodes)):
+    for u, wl in zip(*_laguerre_rule(len(t1))):
         t = 1.0 + u
         if z.real * t > 700.0:
             break
@@ -318,15 +410,16 @@ def laplace_integral(
     _positive_components(v, "v")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    return make_report(per_component(_laplace_comp, params, z, v, curve.nodes), tol)
+    rules = _component_rules(curve.nodes, [[(vc - 1.0, 0.0)] for _, vc in components(v)])
+    return make_report(per_component(_laplace_comp, params, z, v, rules), tol)
 
 
-def _double_comp(a, b, z, m, n, nodes):
+def _double_comp(a, b, z, m, n, rules):
     """Component worker: (unit-square quadrature, series) at z."""
-    tu, wu = jacobi_rule_01(nodes, m - 1.0, n)  # weight u^(m-1) (1-u)^n
-    tv, wv = jacobi_rule_01(nodes, n - 1.0, 0.0)  # weight v^(n-1)
+    # weights u^(m-1) (1-u)^n and v^(n-1)
+    (tu, wu), (tv, wv) = rules
     args = ((1.0 - tu)[:, None] * (1.0 - tv)[None, :]) * z
-    inner = _inner_values(a, b, args.ravel()).reshape(nodes, nodes)
+    inner = _inner_values(a, b, args.ravel()).reshape(args.shape)
     lhs = complex(wu @ inner @ wv)
     pre = complex_gamma(m) * complex_gamma(n) / complex_gamma(m + n + 1.0)
     series = hyper.component_series(a + [1.0 + 0j], b + [m + n + 1.0], z)[0]
@@ -356,7 +449,10 @@ def double_integral(
     _positive_components(n, "n")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    return make_report(per_component(_double_comp, params, z, m, n, curve.nodes), tol)
+    rules = _component_rules(
+        curve.nodes, [[(mc - 1.0, nc), (nc - 1.0, 0.0)] for _, mc, nc in components(m, n)]
+    )
+    return make_report(per_component(_double_comp, params, z, m, n, rules), tol)
 
 
 def beta_product_check(m, n, k: int) -> IdentityReport:
@@ -369,10 +465,12 @@ def beta_product_check(m, n, k: int) -> IdentityReport:
     n = BiComplex.coerce(n)
     _positive_components(m, "m")
     _positive_components(n, "n")
+    rules = _component_rules(
+        DEFAULT_NODES,
+        [[(mc - 1.0, nc + k), (nc - 1.0, float(k))] for _, mc, nc in components(m, n)],
+    )
     sides = []
-    for _, mc, nc in components(m, n):
-        tu, wu = jacobi_rule_01(DEFAULT_NODES, mc - 1.0, nc + k)
-        tv, wv = jacobi_rule_01(DEFAULT_NODES, nc - 1.0, float(k))
+    for _, mc, nc, ((_, wu), (_, wv)) in components(m, n, rules):
         lhs = complex(np.sum(wu) * np.sum(wv))
         rhs = complex(
             complex_gamma(mc) * complex_gamma(nc) * complex_pochhammer(1.0, k)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -87,10 +88,59 @@ class TestJacobiRule:
         with pytest.raises(NoConvergenceError):
             jacobi_rule_01(32, 0.3 + 0.35j, 1.1 - 0.3j)
 
+    def test_step_cap_raises_on_a_stack(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_ABERTH_STEPS", 1)
+        with pytest.raises(NoConvergenceError):
+            jacobi_rule_01(32, [0.3 + 0.35j, -0.5 + 0.3j], [1.1 - 0.3j, 0.8 - 0.2j])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("rules", [2, 4])
+    def test_stacked_rows_equal_lone_rules(self, n, rules):
+        # exponents from the box of test_nodes_match_dense_eigenvalues
+        rng = np.random.default_rng(10 * n + rules)
+        B = [complex(rng.uniform(-0.7, 1.2), rng.uniform(-0.4, 0.4)) for _ in range(rules)]
+        A = [complex(rng.uniform(-0.7, 3.2), rng.uniform(-0.4, 0.4)) for _ in range(rules)]
+        t, w = jacobi_rule_01(n, B, A)
+        assert t.shape == w.shape == (rules, n)
+        for r in range(rules):
+            lone_t, lone_w = jacobi_rule_01(n, B[r], A[r])
+            assert np.array_equal(t[r], lone_t) and np.array_equal(w[r], lone_w), r
+
+    @pytest.mark.parametrize("tol", [quad.ABERTH_TOL, 0.0])
+    def test_mixed_stack_rows_leave_as_they_settle(self, monkeypatch, tol):
+        # A real-exponent row settles in one step, (0.3+0.35j, 1.1-0.3j)
+        # in 4 and (0.5+3j, 0.2-3j) in 8, each below ABERTH_TOL;
+        # (0.5+8j, 0.2-8j) stops on the floor rule after 17.  With
+        # ABERTH_TOL = 0 every row stops on the floor rule.  Each stacked
+        # row equals its lone rule and takes as many steps as it does alone.
+        monkeypatch.setattr(quad, "ABERTH_TOL", tol)
+        B = [0.25, 0.3 + 0.35j, 0.5 + 3j, 0.5 + 8j]
+        A = [1.5, 1.1 - 0.3j, 0.2 - 3j, 0.2 - 8j]
+        heights = []
+        newton_ratio = quad._newton_ratio
+
+        def recording(x, diag, sb):
+            heights.append(len(x))
+            return newton_ratio(x, diag, sb)
+
+        monkeypatch.setattr(quad, "_newton_ratio", recording)
+        lone, steps = [], []
+        for r in range(len(B)):
+            heights.clear()
+            lone.append(jacobi_rule_01(128, B[r], A[r]))
+            steps.append(len(heights))
+        assert steps == ([1, 4, 8, 17] if tol else [3, 5, 10, 17])
+        heights.clear()
+        t, w = jacobi_rule_01(128, B, A)
+        assert heights == [sum(s > k for s in steps) for k in range(max(steps))]
+        for r, (lone_t, lone_w) in enumerate(lone):
+            assert np.array_equal(t[r], lone_t) and np.array_equal(w[r], lone_w), r
+
     @pytest.mark.parametrize("n", [64, 128])
     def test_large_imaginary_exponents(self, n):
-        # ill-conditioned weight: the node corrections level off at a
-        # floor near 1e-14 instead of falling below the stop tolerance
+        # ill-conditioned weight: the nodes settle below ABERTH_TOL
+        # (corrections fall from about 2e-6 to below 1e-12 in one step),
+        # but the mass comes out only to about 3e-11 relative
         B, A = 0.5 + 3j, 0.2 - 3j
         t, w = jacobi_rule_01(n, B, A)
         want = _beta_moment(B, A, 0)
@@ -103,6 +153,94 @@ class TestJacobiRule:
     def test_exponent_validation(self):
         with pytest.raises(PreconditionError):
             jacobi_rule_01(8, -1.2, 0.0)
+
+    def test_stack_validation_names_the_row_before_eigvalsh(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with pytest.raises(PreconditionError, match=r"-1\.2.*rule 2"):
+            jacobi_rule_01(16, [0.3, 0.5j, 0.4], [0.1, 0.2, -1.2 + 0.5j])
+        for B, A in (([0.3, 0.4], [0.1]), (0.3, [0.1]), ([0.3], 0.1), ([], [])):
+            with pytest.raises(ValueError, match="equal length"):
+                jacobi_rule_01(16, B, A)
+
+    def test_no_convergence_names_each_unsettled_row(self, monkeypatch):
+        # after one step the real-exponent row has settled, the others not
+        monkeypatch.setattr(quad, "MAX_ABERTH_STEPS", 1)
+        with pytest.raises(NoConvergenceError) as info:
+            jacobi_rule_01(32, [0.3 + 0.35j, 0.25, -0.5 + 0.3j], [1.1 - 0.3j, 1.5, 0.8 - 0.2j])
+        message = str(info.value)
+        assert "(0.3+0.35j)" in message and "(-0.5+0.3j)" in message
+        assert "1.5" not in message
+        assert message.count("last correction") == 2
+
+
+class TestPinnedRuleBits:
+    """The rules' exact output on fixed exponents.
+
+    ``data/rule_bits.json`` holds, as ``float.hex``, the nodes and
+    weights of ``jacobi_rule_01`` for three exponent pairs at n = 64
+    and 128 and of ``_laguerre_rule(64)``, recorded while each rule was
+    still built on its own.  The lone rules and the stacked rows (all
+    three pairs in one call) must keep these bits.
+    """
+
+    DATA = json.loads((Path(__file__).parent / "data" / "rule_bits.json").read_text())
+
+    @staticmethod
+    def _hex(values):
+        return [[complex(v).real.hex(), complex(v).imag.hex()] for v in values]
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_jacobi_rule_keeps_its_bits(self, n):
+        cases = [c for c in self.DATA["jacobi_rule_01"] if c["n"] == n]
+        assert len(cases) == 3
+        B = [complex(*c["t_exp"]) for c in cases]
+        A = [complex(*c["one_minus_t_exp"]) for c in cases]
+        stacked_t, stacked_w = jacobi_rule_01(n, B, A)
+        for r, case in enumerate(cases):
+            t, w = jacobi_rule_01(n, B[r], A[r])
+            assert self._hex(t) == case["t"] and self._hex(w) == case["w"], r
+            assert self._hex(stacked_t[r]) == case["t"], r
+            assert self._hex(stacked_w[r]) == case["w"], r
+
+    def test_laguerre_rule_keeps_its_bits(self):
+        t, w = quad._laguerre_rule.__wrapped__(64)
+        want = self.DATA["laguerre_rule_64"]
+        assert [float(v).hex() for v in t] == want["t"]
+        assert [float(v).hex() for v in w] == want["w"]
+
+
+class TestOneStackedRuleCall:
+    """Each representation builds all its Gauss rules in one call."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: euler_integral(PfqParams([0.8, 1.1], [2.3]), BiComplex(0.2, 0.1)),
+            lambda: laplace_integral(
+                from_idempotent(2.5, 1.5), PfqParams([1.1], [1.8]), BiComplex(0.3, 0.05)
+            ),
+            lambda: double_integral(
+                BiComplex(1.2, 0.1), 2.0, PfqParams([0.7, 1.2], [1.9]), BiComplex(0.1, 0.05),
+                ProductCurve(CurveKind.UNIT_INTERVAL, 128),
+            ),
+            lambda: beta_product_check(from_idempotent(1.4, 0.9), BiComplex(1.1, 0.2), 3),
+        ],
+        ids=["euler", "laplace", "double", "beta_product"],
+    )
+    def test_one_jacobi_rule_call(self, monkeypatch, run):
+        calls = []
+        build = quad.jacobi_rule_01
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(quad, "jacobi_rule_01", counting)
+        assert run().passed
+        assert len(calls) == 1
 
 
 class TestEuler:
