@@ -14,6 +14,9 @@ takes its ratios from it:
   arguments in lockstep; they share the stop rule and the tail
   majorant ``_tail``;
 - ``series_sum_terminating`` sums a fixed number of terms;
+- ``moment_sum`` sums the series over a tensor product of two
+  quadrature rules termwise, each term c_k z^k times the two rules'
+  k-th moments, so n lanes per rule replace the n^2 node grid;
 - ``coeff_table`` and ``term_ratio`` give the coefficients and one
   ratio;
 - ``window_probe`` takes all ratios at once over an index array.
@@ -26,7 +29,7 @@ in Python complex, which rounds like numpy's scalar arithmetic; the
 ratio itself is a numpy division, ``np.complex128(num) / den``,
 because Python's complex division rounds differently.
 
-The stop rule of both sums: three consecutive terms below
+The stop rule of the three unending sums: three consecutive terms below
 tol * |partial sum|, after at least MIN_TERMS terms.  Status codes:
 0 = stop rule met, 1 = cap reached.
 """
@@ -107,6 +110,44 @@ def series_sum_terminating(alphas, betas, z, last_n):
         term = term * (z * (np.complex128(num) / den))
         total = total + term
     return total
+
+
+def moment_sum(alphas, betas, z, weights, bases, tol, cap):
+    """sum_k c_k z^k U_k V_k for a (2, n) stack of two rules, U_k and
+    V_k the row sums of weights * bases**k (the rules' k-th moments).
+
+    This is sum_ij weights[0, i] weights[1, j] F(z bases[0, i] bases[1, j])
+    of the component series F, summed termwise: n lanes per rule where
+    the node grid takes n^2.  The coefficients follow ``series_sum``'s
+    recurrence and arithmetic, and the two rows of weights * bases**k
+    advance together.  The stop rule is ``series_sum``'s on the terms
+    c_k z^k U_k V_k; with tol None there is none and the sum takes
+    exactly cap ratio steps (a terminating series of degree cap).
+    Returns (value, status).
+    """
+    moments = np.array(weights, dtype=np.complex128)
+    u, v = moments.sum(axis=1)
+    total = u * v
+    coeff = 1.0 + 0.0j
+    below = 0
+    n = 0
+    while n < cap:
+        num, den = ratio_parts(alphas, betas, n)
+        coeff = coeff * (z * (np.complex128(num) / den))
+        moments *= bases
+        u, v = moments.sum(axis=1)
+        term = coeff * (u * v)
+        total = total + term
+        n += 1
+        if tol is None:
+            continue
+        if abs(term) <= tol * abs(total):
+            below += 1
+            if below >= 3 and n >= MIN_TERMS:
+                return total, STATUS_OK
+        else:
+            below = 0
+    return total, STATUS_OK if tol is None else STATUS_CAP
 
 
 def coeff_table(alphas, betas, count):

@@ -438,13 +438,49 @@ def _contiguous_body(relation, beta_offset=0.0):
 
 
 def _recurrence_case(rng, case):
-    """Coefficient recurrence at ulp accuracy."""
+    """Coefficient recurrence at ulp accuracy, and the coefficient table
+    against the closed form."""
     p = int(rng.integers(0, 4))
     q = int(rng.integers(0, 4))
     params = _sample_params(rng, p, q)
     ulps = identities.coefficient_recurrence_ulps(params, RECURRENCE_COUNT)
-    return _row(f"recurrence-{case}", params, BiComplex(0.0), ulps, ulps,
-                ulps <= RECURRENCE_MAX_ULPS, ulps=ulps)
+    # c_n against prod (a)_n / (n! prod (b)_n), each rising factorial a
+    # running product of its own (n! is (1)_n), a numerator over a
+    # denominator at a time so the partial products stay in range; the
+    # residual is the worst relative error over the entries whose
+    # factors and value lie in the normal float range, and entry n
+    # passes within 2 n (p+q+2) eps
+    good = ulps <= RECURRENCE_MAX_ULPS
+    worst = []
+    for s in (1, 2):
+        alphas, betas = params.comp_alphas(s), list(params.comp_betas(s)) + [1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = kernels.coeff_table(alphas, betas[:-1], RECURRENCE_COUNT)
+        nums, dens = [1.0 + 0j] * len(alphas), [1.0 + 0j] * len(betas)
+        err = 0.0
+        for nn, got in enumerate(table.tolist()):
+            if all(_normal(f) for f in nums + dens):
+                want = 1.0 + 0j
+                for num, den in zip(nums, dens):
+                    want *= num / den
+                for f in nums[len(dens):]:
+                    want *= f
+                for f in dens[len(nums):]:
+                    want /= f
+                if _normal(want):
+                    rel = abs(got - want) / abs(want)
+                    err = max(err, rel)
+                    good = good and rel <= 2 * nn * (p + q + 2) * _EPS
+            nums = [f * (a + nn) for f, a in zip(nums, alphas)]
+            dens = [f * (b + nn) for f, b in zip(dens, betas)]
+        worst.append(err)
+    return _row(f"recurrence-{case}", params, BiComplex(0.0), worst[0], worst[1], good, ulps=ulps)
+
+
+def _normal(w) -> bool:
+    """Whether the larger part of the complex w lies in the normal float
+    range, with headroom at the top so |w| and w - w' stay finite."""
+    return _TINY <= max(abs(w.real), abs(w.imag)) <= _HUGE
 
 
 def _operator_case(rng, case):
@@ -466,6 +502,8 @@ def _operator_case(rng, case):
 
 _COHERENT_SHAPES = [(0, 0), (1, 1), (0, 1), (2, 1), (1, 2)]
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_HUGE = 2.0**1020
 
 
 def _coherent_case(rng, case):

@@ -319,6 +319,26 @@ class TestOde:
             )
             assert coefficient_recurrence_ulps(params, 200) <= 2.0
 
+    def test_recurrence_rows_catch_a_perturbed_ratio(self, monkeypatch):
+        # a numerator off by a relative 1e-12 moves coeff_table and
+        # term_ratio together, so the ulp check still reads 0; only the
+        # comparison with the closed form can see it
+        from bchyper import kernels
+
+        exact = kernels.ratio_parts
+
+        def perturbed(a, b, n):
+            num, den = exact(a, b, n)
+            return num * (1 + 1e-12), den
+
+        clean = verify.run_suite("thm7.1", seed=7, samples=10).rows
+        monkeypatch.setattr(kernels, "ratio_parts", perturbed)
+        rows = verify.run_suite("thm7.1", seed=7, samples=10).rows
+        recurrence = [r for r in rows if r["case"].startswith("recurrence-")]
+        assert len(recurrence) == 10 and not any(r["passed"] for r in recurrence)
+        assert all(r["ulps"] <= verify.RECURRENCE_MAX_ULPS for r in recurrence)
+        assert all(r["passed"] for r in clean if r["case"].startswith("recurrence-"))
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             ode_residual_with_bound(GAUSS, BiComplex(0.1), 4)

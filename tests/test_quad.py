@@ -24,9 +24,10 @@ from bchyper import (
     laplace_integral,
 )
 import bchyper
-from bchyper import quad
+from bchyper import kernels, quad, verify
 from bchyper.errors import NoConvergenceError
 from bchyper.gamma import complex_gamma
+from bchyper.hyper import DEFAULT_CAP, DEFAULT_TOL
 from bchyper.quad import jacobi_rule_01
 
 
@@ -243,6 +244,43 @@ class TestOneStackedRuleCall:
         assert len(calls) == 1
 
 
+class TestDoubleIntegralLanes:
+    """The double representation sums its inner series over the two
+    rules' moments: no series kernel sees the n x n node grid."""
+
+    @pytest.mark.parametrize(
+        "params", [PfqParams([0.7, 1.2], [1.9]), PfqParams([-2.0, 0.7], [1.5])],
+        ids=["unending", "terminating"],
+    )
+    def test_no_kernel_call_takes_more_than_n_arguments(self, monkeypatch, params):
+        sizes, grids = [], []
+        for name in ("series_sum", "series_sum_many", "series_sum_terminating"):
+            def recording(a, b, z, *rest, kernel=getattr(kernels, name)):
+                sizes.append(np.size(z))
+                return kernel(a, b, z, *rest)
+
+            monkeypatch.setattr(kernels, name, recording)
+        inner = quad._inner_values
+
+        def recording_inner(*args):
+            grids.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(quad, "_inner_values", recording_inner)
+        rep = double_integral(
+            BiComplex(1.2, 0.1), 2.0, params, BiComplex(0.1, 0.05),
+            ProductCurve(CurveKind.UNIT_INTERVAL, 128),
+        )
+        assert rep.passed
+        assert sizes and max(sizes) <= 128, max(sizes)
+        assert not grids
+
+    def test_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(quad, "DEFAULT_CAP", 5)
+        with pytest.raises(NoConvergenceError, match="inner series hit the term cap"):
+            double_integral(1.2, 2.0, PfqParams([0.7, 1.2], [1.9]), BiComplex(0.5))
+
+
 class TestEuler:
     def test_confluent_example(self):
         # 1F1(1;3;Z) = 2 * integral of (1-t) e^(Zt)
@@ -413,6 +451,49 @@ class TestDouble:
         n = from_idempotent(0.8, 1.5)
         rep = double_integral(m, n, PfqParams([0.0], [1.5]), from_idempotent(0.5, 0.3))
         assert rep.passed and rep.residual.max_comp() < 1e-12
+
+    @pytest.mark.parametrize("nodes", [16, 64, 128])
+    def test_moment_sum_is_the_node_grid_sum(self, monkeypatch, nodes):
+        # the lhs is the tensor rule's sum over the n x n node grid, taken
+        # termwise over the two rules' moments: it must match the grid sum
+        # of the array kernel on the same rules to rounding
+        rng = np.random.default_rng(38)
+        cases = []
+        for p, q in [(0, 0), (1, 1), (2, 1), (1, 2)] * 3:
+            params = verify._sample_params(rng, p, q)
+            m = verify._bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
+            n = verify._bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
+            cases.append((m, n, params, verify._ball_z(rng, rmax=0.75)))
+        cases.append((
+            from_idempotent(1.2, 0.9), from_idempotent(0.8, 1.5),
+            PfqParams([-2.0, 0.7], [1.5]), from_idempotent(0.5, 0.3 + 0.2j),
+        ))
+        lhs = []
+        worker = quad._double_comp
+
+        def recording(*args):
+            out = worker(*args)
+            lhs.append(out[0])
+            return out
+
+        monkeypatch.setattr(quad, "_double_comp", recording)
+        for m, n, params, z in cases:
+            lhs.clear()
+            double_integral(m, n, params, z, ProductCurve(CurveKind.UNIT_INTERVAL, nodes))
+            t, w = jacobi_rule_01(
+                nodes, [m.idem1 - 1.0, n.idem1 - 1.0, m.idem2 - 1.0, n.idem2 - 1.0],
+                [n.idem1, 0.0, n.idem2, 0.0],
+            )
+            for s, zc, got in ((1, z.idem1, lhs[0]), (2, z.idem2, lhs[1])):
+                tu, tv, wu, wv = t[2 * s - 2], t[2 * s - 1], w[2 * s - 2], w[2 * s - 1]
+                args = ((1.0 - tu)[:, None] * (1.0 - tv)[None, :]) * zc
+                values, _, _, statuses = kernels.series_sum_many(
+                    params.comp_alphas(s), params.comp_betas(s), args.ravel(),
+                    DEFAULT_TOL, DEFAULT_CAP,
+                )
+                assert not statuses.any()
+                want = wu @ values.reshape(args.shape) @ wv
+                assert abs(got - want) <= 1e-13 * abs(want), (s, params, z, got, want)
 
     def test_node_doubling_converges(self):
         m = from_idempotent(1.2, 0.9)
