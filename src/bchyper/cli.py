@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import coherent as coherent_mod
@@ -60,6 +61,13 @@ def _count(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not math.isfinite(tol) or tol < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return tol
 
 
 def _emit(text: str, out_path):
@@ -250,8 +258,8 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate the series at a point")
     common(p_eval, with_z=True)
     p_eval.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_eval.add_argument("--tol", type=float, default=hyper.DEFAULT_TOL)
-    p_eval.add_argument("--cap", type=int, default=hyper.DEFAULT_CAP)
+    p_eval.add_argument("--tol", type=_tolerance, default=hyper.DEFAULT_TOL)
+    p_eval.add_argument("--cap", type=_count, default=hyper.DEFAULT_CAP)
     p_eval.set_defaults(fn=_cmd_eval)
 
     p_cls = sub.add_parser("classify", help="convergence class of a parameter set")

@@ -7,7 +7,7 @@ independently with independent truncation depths.
 
 ``check_component`` is the one domain-and-pole gate: ``component_series``
 runs it on every classical component sum it takes, and
-``quad._inner_values`` on every array of quadrature arguments, so a
+``quad._inner_values`` on every quadrature rule sum, so a
 relation that sums shifted or halved parameter sets is gated by the
 sums themselves.
 ``check_domain`` is the same gate on both components of a bicomplex

@@ -12,11 +12,15 @@ takes its ratios from it:
 
 - ``series_sum`` sums one argument, ``series_sum_many`` an array of
   arguments in lockstep; they share the stop rule and the tail
-  majorant ``_tail``;
-- ``series_sum_terminating`` sums a fixed number of terms;
-- ``moment_sum`` sums the series over a tensor product of two
-  quadrature rules termwise, each term c_k z^k times the two rules'
-  k-th moments, so n lanes per rule replace the n^2 node grid;
+  majorant ``_tail``.  The package no longer calls ``series_sum_many``:
+  it is the node-by-node lane reference that the tests check the rule
+  sums against, and the benchmark traces it;
+- ``series_sum_terminating`` sums a fixed number of terms at one
+  argument;
+- ``moment_sum`` sums the series over the tensor product of R
+  quadrature rules termwise, each term c_k z^k times the product of
+  the rules' k-th moments, so n lanes per rule replace the n^R node
+  grid; every quadrature rule sum goes through it;
 - ``coeff_table`` and ``term_ratio`` give the coefficients and one
   ratio;
 - ``window_probe`` takes all ratios at once over an index array.
@@ -35,6 +39,8 @@ tol * |partial sum|, after at least MIN_TERMS terms.  Status codes:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -100,10 +106,8 @@ def series_sum(alphas, betas, z, tol, cap):
 
 
 def series_sum_terminating(alphas, betas, z, last_n):
-    """Exact sum of a terminating series: terms n = 0 .. last_n inclusive.
-
-    z is one argument or an array of them; for last_n = 0 the sum is
-    the scalar 1 either way."""
+    """Exact sum of a terminating series at the argument z: terms
+    n = 0 .. last_n inclusive."""
     total = term = 1.0 + 0.0j
     for n in range(last_n):
         num, den = ratio_parts(alphas, betas, n)
@@ -113,21 +117,21 @@ def series_sum_terminating(alphas, betas, z, last_n):
 
 
 def moment_sum(alphas, betas, z, weights, bases, tol, cap):
-    """sum_k c_k z^k U_k V_k for a (2, n) stack of two rules, U_k and
-    V_k the row sums of weights * bases**k (the rules' k-th moments).
+    """sum_k c_k z^k prod_r M_rk for an (R, n) stack of R rules, M_rk the
+    row sums of weights * bases**k (rule r's k-th moment).
 
-    This is sum_ij weights[0, i] weights[1, j] F(z bases[0, i] bases[1, j])
-    of the component series F, summed termwise: n lanes per rule where
-    the node grid takes n^2.  The coefficients follow ``series_sum``'s
-    recurrence and arithmetic, and the two rows of weights * bases**k
-    advance together.  The stop rule is ``series_sum``'s on the terms
-    c_k z^k U_k V_k; with tol None there is none and the sum takes
-    exactly cap ratio steps (a terminating series of degree cap).
-    Returns (value, status).
+    This is the component series F summed over the tensor product of
+    the rules, sum weights[0, i] ... weights[R-1, l] F(z bases[0, i] ...
+    bases[R-1, l]), taken termwise: n lanes per rule where the node grid
+    takes n^R.  One rule (R = 1) gives sum_i weights[0, i] F(z bases[0, i]).
+    The coefficients follow ``series_sum``'s recurrence and arithmetic,
+    and the rows of weights * bases**k advance together.  The stop rule
+    is ``series_sum``'s on the terms c_k z^k prod_r M_rk; with tol None
+    there is none and the sum takes exactly cap ratio steps (a
+    terminating series of degree cap).  Returns (value, status).
     """
     moments = np.array(weights, dtype=np.complex128)
-    u, v = moments.sum(axis=1)
-    total = u * v
+    total = math.prod(moments.sum(axis=1))
     coeff = 1.0 + 0.0j
     below = 0
     n = 0
@@ -135,8 +139,7 @@ def moment_sum(alphas, betas, z, weights, bases, tol, cap):
         num, den = ratio_parts(alphas, betas, n)
         coeff = coeff * (z * (np.complex128(num) / den))
         moments *= bases
-        u, v = moments.sum(axis=1)
-        term = coeff * (u * v)
+        term = coeff * math.prod(moments.sum(axis=1))
         total = total + term
         n += 1
         if tol is None:

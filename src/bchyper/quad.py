@@ -36,14 +36,18 @@ one component; ``hyper.per_component`` runs it on both components and
 in one stacked call (``_component_rules``), and each worker receives
 its own component's rows.
 
-The Euler and Laplace workers evaluate the inner series at their n
-nodes with the array kernel (``_inner_values``).  The double
-representation never forms its n x n node grid: the tensor rule's sum
-sum_ij wu_i wv_j F(z (1-tu_i) (1-tv_j)) is taken termwise, as
-sum_k c_k z^k U_k V_k over the two rules' moments U_k = sum_i wu_i
-(1-tu_i)^k and V_k = sum_j wv_j (1-tv_j)^k (``kernels.moment_sum``).
-That is the termwise integration of the paper's proof, the same
-quadrature in O(nK) work for K terms instead of O(n^2 K).
+Every representation sums its inner series the way the paper's proofs
+integrate it, term by term, through one gated path (``_inner_values``
+over ``kernels.moment_sum``): the rule sum sum_i w_i F(z b_i) is taken
+as sum_k c_k z^k M_k over the rule's moments M_k = sum_i w_i b_i^k.
+The Euler worker passes its rule (bases t), the Laplace worker the
+[0, 1] piece of its rule (weights w e^(-t), bases t; the Gauss-Laguerre
+tail stays a node loop, as its moments overflow at large nodes).  The
+double representation never forms its n x n node grid: the tensor
+rule's sum sum_ij wu_i wv_j F(z (1-tu_i) (1-tv_j)) is sum_k c_k z^k
+U_k V_k over the two rules' moments U_k = sum_i wu_i (1-tu_i)^k and
+V_k = sum_j wv_j (1-tv_j)^k, the same quadrature in O(nK) work for K
+terms instead of O(n^2 K).
 """
 
 from __future__ import annotations
@@ -302,17 +306,23 @@ def _require_ball(z: BiComplex):
             raise DomainError(f"argument component {s} has modulus {abs(comp)} >= 1")
 
 
-def _inner_values(a, b, args):
-    """The component series at every argument of the array `args`,
-    gated once on the largest modulus among them."""
-    k = hyper.check_component(a, b, float(np.max(np.abs(args))))
-    if k is not None:
-        # at k = 0 the kernel returns the scalar 1 whatever the arguments
-        return np.broadcast_to(kernels.series_sum_terminating(a, b, args, k), args.shape)
-    values, _, _, statuses = kernels.series_sum_many(a, b, args, DEFAULT_TOL, DEFAULT_CAP)
-    if np.any(statuses != kernels.STATUS_OK):
+def _inner_values(a, b, z, weights, bases):
+    """The component series summed over the tensor product of an (R, n)
+    stack of rules: sum_k c_k z^k prod_r M_rk with the moments M_rk =
+    sum_i weights[r, i] bases[r, i]^k (``kernels.moment_sum``), which
+    is the rule sum of F(z prod_r bases[r, i_r]) taken termwise.
+
+    The gate runs once, on the largest argument the rule sum reaches,
+    |z| prod_r max|bases[r]|.  A terminating series is summed in
+    exactly its degree; an unending one to the package's stop rule,
+    and reaching the term cap raises NoConvergenceError.
+    """
+    k = hyper.check_component(a, b, abs(z) * float(np.prod(np.max(np.abs(bases), axis=1))))
+    tol, cap = (DEFAULT_TOL, DEFAULT_CAP) if k is None else (None, k)
+    value, status = kernels.moment_sum(a, b, z, weights, bases, tol, cap)
+    if status != kernels.STATUS_OK:
         raise NoConvergenceError("inner series hit the term cap inside the quadrature")
-    return values
+    return value
 
 
 class _PerComponent(NamedTuple):
@@ -340,7 +350,7 @@ def _component_rules(nodes: int, exponents) -> _PerComponent:
 def _euler_comp(a, b, z, rules):
     """Component worker: (beta-kernel quadrature, series) at z."""
     [(t, w)] = rules
-    integral = np.sum(w * _inner_values(a[1:], b[1:], z * t))
+    integral = _inner_values(a[1:], b[1:], z, w[None], t[None])
     pre = complex_gamma(b[0]) / (complex_gamma(a[0]) * complex_gamma(b[0] - a[0]))
     return complex(pre * integral), hyper.component_series(a, b, z)[0]
 
@@ -379,7 +389,7 @@ def _laplace_comp(a, b, z, v, rules):
     """Component worker: (exponential-kernel quadrature, series) at z."""
     # [0, 1]: the complex-exponent endpoint is part of the weight.
     [(t1, w1)] = rules
-    piece1 = np.sum(w1 * np.exp(-t1) * _inner_values(a, b, z * t1))
+    piece1 = _inner_values(a, b, z, (w1 * np.exp(-t1))[None], t1[None])
     # [1, inf): smooth integrand, plain Gauss-Laguerre after t = 1 + u,
     # truncated once the weighted terms stop mattering.
     piece2 = 0.0 + 0.0j
@@ -428,19 +438,12 @@ def _double_comp(a, b, z, m, n, rules):
 
     The tensor rule's sum over the node grid, sum_ij wu_i wv_j
     F(z (1-tu_i) (1-tv_j)), is taken termwise as sum_k c_k z^k U_k V_k
-    with the moments U_k = sum_i wu_i (1-tu_i)^k and V_k = sum_j wv_j
-    (1-tv_j)^k (``kernels.moment_sum``), the termwise integration of
-    the paper's proof: O(nK) work for K terms where the grid takes
-    O(n^2 K).  The gate is the grid's, on its largest argument modulus.
+    over the two rules' moments (``_inner_values`` on the two-row
+    stack): O(nK) work for K terms where the grid takes O(n^2 K).
     """
     # weights u^(m-1) (1-u)^n and v^(n-1)
     (tu, wu), (tv, wv) = rules
-    bases = np.stack((1.0 - tu, 1.0 - tv))
-    k = hyper.check_component(a, b, abs(z) * float(np.prod(np.max(np.abs(bases), axis=1))))
-    tol, cap = (DEFAULT_TOL, DEFAULT_CAP) if k is None else (None, k)
-    lhs, status = kernels.moment_sum(a, b, z, np.stack((wu, wv)), bases, tol, cap)
-    if status != kernels.STATUS_OK:
-        raise NoConvergenceError("inner series hit the term cap inside the quadrature")
+    lhs = _inner_values(a, b, z, np.stack((wu, wv)), np.stack((1.0 - tu, 1.0 - tv)))
     pre = complex_gamma(m) * complex_gamma(n) / complex_gamma(m + n + 1.0)
     series = hyper.component_series(a + [1.0 + 0j], b + [m + n + 1.0], z)[0]
     return complex(lhs), complex(pre * series)

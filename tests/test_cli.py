@@ -68,6 +68,28 @@ class TestEval:
         assert "DomainError" in err
 
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--cap", "-5")]
+    )
+    def test_bad_tol_or_cap_is_a_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "eval", "--pfq", "1,1", "--alphas", "1", "--betas", "2", "--z", "0.3",
+            flag, value,
+        )
+        assert code == 1
+        assert out == "" and "usage error" in err and flag in err
+
+    def test_zero_tol_is_accepted(self, capsys):
+        # the stop rule then waits for terms that round to 0
+        code, out, _ = run_cli(
+            capsys, "eval", "--pfq", "1,1", "--alphas", "1", "--betas", "2", "--z", "0.3",
+            "--tol", "0", "--format", "json",
+        )
+        assert code == 0
+        terms = json.loads(out)["results"][0]["terms_used"]
+        assert terms[0] > 100 and terms == [terms[0]] * 2
+
+
 class TestClassify:
     def test_divergent(self, capsys):
         code, out, _ = run_cli(

@@ -92,26 +92,31 @@ def _representable(w) -> bool:
 
 
 class TestMomentSum:
-    # two one-node rules of unit weight and base: every moment is 1, so
-    # the terms, stop point and status are series_sum's, bit for bit
-    UNIT = np.ones((2, 1), dtype=np.complex128)
+    # one or two one-node rules of unit weight and base: every moment is
+    # 1, so the terms, stop point and status are series_sum's, bit for bit
+    UNITS = (np.ones((1, 1), dtype=np.complex128), np.ones((2, 1), dtype=np.complex128))
 
     def test_one_node_rules_are_the_scalar_sum(self, rng):
         radii = np.linspace(0.05, 0.95, 12)
         for z in radii * np.exp(2j * np.pi * rng.random(radii.size)):
             for cap in (10_000, 20):
                 v, _, _, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, cap)
-                got, status = kernels.moment_sum(
-                    GAUSS_A, GAUSS_B, complex(z), self.UNIT, self.UNIT, 1e-15, cap
-                )
-                assert _same_bits(complex(got), complex(v)) and status == s, (abs(z), cap)
+                for unit in self.UNITS:
+                    got, status = kernels.moment_sum(
+                        GAUSS_A, GAUSS_B, complex(z), unit, unit, 1e-15, cap
+                    )
+                    assert _same_bits(complex(got), complex(v)) and status == s, (
+                        abs(z), cap, len(unit),
+                    )
 
     def test_terminating_sum_takes_exactly_its_degree(self):
         # the pole at -3 lies past the degree 2: one more step would divide by zero
         a, b, z = [-2.0, 0.7], [-3.0], 0.6 - 0.3j
         want = kernels.series_sum_terminating(a, b, z, 2)
-        got, status = kernels.moment_sum(a, b, z, self.UNIT, self.UNIT, None, 2)
-        assert _same_bits(complex(got), complex(want)) and status == kernels.STATUS_OK
+        for unit in self.UNITS:
+            got, status = kernels.moment_sum(a, b, z, unit, unit, None, 2)
+            assert _same_bits(complex(got), complex(want)), len(unit)
+            assert status == kernels.STATUS_OK
 
 
 class TestCoeffTable:

@@ -28,6 +28,7 @@ from bchyper import kernels, quad, verify
 from bchyper.errors import NoConvergenceError
 from bchyper.gamma import complex_gamma
 from bchyper.hyper import DEFAULT_CAP, DEFAULT_TOL
+from bchyper.numbers import components
 from bchyper.quad import jacobi_rule_01
 
 
@@ -244,41 +245,78 @@ class TestOneStackedRuleCall:
         assert len(calls) == 1
 
 
-class TestDoubleIntegralLanes:
-    """The double representation sums its inner series over the two
-    rules' moments: no series kernel sees the n x n node grid."""
+def _integral_runs(params, nodes=128):
+    """Each integral representation at one fixed point, its inner series
+    given by `params` (Euler prepends its own alpha_1 and beta_1)."""
+    return {
+        "euler": lambda: euler_integral(
+            PfqParams([0.8] + list(params.alphas), [2.3] + list(params.betas)),
+            BiComplex(0.2, 0.1), ProductCurve(CurveKind.UNIT_INTERVAL, nodes),
+        ),
+        "laplace": lambda: laplace_integral(
+            from_idempotent(2.5, 1.5), params, BiComplex(0.3, 0.05),
+            ProductCurve(CurveKind.HALF_LINE, nodes),
+        ),
+        "double": lambda: double_integral(
+            BiComplex(1.2, 0.1), 2.0, params, BiComplex(0.1, 0.05),
+            ProductCurve(CurveKind.UNIT_INTERVAL, nodes),
+        ),
+    }
 
+
+class TestInnerSeriesLanes:
+    """Every integral representation sums its inner series over its
+    rules' moments, once per component: no series kernel sees more than
+    n arguments, and the lockstep array kernel is not called."""
+
+    KERNELS = ("series_sum", "series_sum_many", "series_sum_terminating", "moment_sum")
+
+    @pytest.mark.parametrize("integral", ["euler", "laplace", "double"])
     @pytest.mark.parametrize(
-        "params", [PfqParams([0.7, 1.2], [1.9]), PfqParams([-2.0, 0.7], [1.5])],
+        "params",
+        [PfqParams([0.7, 1.2], [1.9, 2.4]), PfqParams([-2.0, 0.7], [1.5, 2.1])],
         ids=["unending", "terminating"],
     )
-    def test_no_kernel_call_takes_more_than_n_arguments(self, monkeypatch, params):
-        sizes, grids = [], []
-        for name in ("series_sum", "series_sum_many", "series_sum_terminating"):
-            def recording(a, b, z, *rest, kernel=getattr(kernels, name)):
+    def test_no_kernel_call_takes_more_than_n_arguments(self, monkeypatch, params, integral):
+        called, sizes, inner_calls = [], [], []
+        for name in self.KERNELS:
+            def recording(a, b, z, *rest, name=name, kernel=getattr(kernels, name)):
+                called.append(name)
+                # z, and the rows of moment_sum's (R, n) weight and base stacks
                 sizes.append(np.size(z))
+                sizes.extend(np.shape(x)[-1] for x in rest if np.ndim(x))
                 return kernel(a, b, z, *rest)
 
             monkeypatch.setattr(kernels, name, recording)
         inner = quad._inner_values
 
         def recording_inner(*args):
-            grids.append(args)
+            inner_calls.append(args)
             return inner(*args)
 
         monkeypatch.setattr(quad, "_inner_values", recording_inner)
-        rep = double_integral(
-            BiComplex(1.2, 0.1), 2.0, params, BiComplex(0.1, 0.05),
-            ProductCurve(CurveKind.UNIT_INTERVAL, 128),
-        )
-        assert rep.passed
-        assert sizes and max(sizes) <= 128, max(sizes)
-        assert not grids
+        assert _integral_runs(params)[integral]().passed
+        assert len(inner_calls) == 2
+        assert called.count("moment_sum") == 2 and "series_sum_many" not in called
+        assert max(sizes) <= 128, max(sizes)
 
-    def test_term_cap_raises(self, monkeypatch):
+    @pytest.mark.parametrize("integral", ["euler", "laplace", "double"])
+    def test_term_cap_raises(self, monkeypatch, integral):
+        # the cap binds the moment sum, which reports it, and the
+        # quadrature raises at the first component
+        statuses = []
+        moment_sum = kernels.moment_sum
+
+        def recording(*args):
+            out = moment_sum(*args)
+            statuses.append(out[1])
+            return out
+
+        monkeypatch.setattr(kernels, "moment_sum", recording)
         monkeypatch.setattr(quad, "DEFAULT_CAP", 5)
         with pytest.raises(NoConvergenceError, match="inner series hit the term cap"):
-            double_integral(1.2, 2.0, PfqParams([0.7, 1.2], [1.9]), BiComplex(0.5))
+            _integral_runs(PfqParams([0.7], [1.9]), 64)[integral]()
+        assert statuses == [kernels.STATUS_CAP]
 
 
 class TestEuler:
@@ -454,46 +492,109 @@ class TestDouble:
 
     @pytest.mark.parametrize("nodes", [16, 64, 128])
     def test_moment_sum_is_the_node_grid_sum(self, monkeypatch, nodes):
-        # the lhs is the tensor rule's sum over the n x n node grid, taken
-        # termwise over the two rules' moments: it must match the grid sum
-        # of the array kernel on the same rules to rounding
+        # Each worker takes its rule sum termwise over the rules' moments.
+        # Its lhs must match the lhs built on the node-by-node sum of the
+        # array kernel over the same rules: sum_i w_i F(z t_i) for Euler,
+        # the [0, 1] piece sum_i w_i e^(-t_i) F(z t_i) for Laplace (with
+        # the same Gauss-Laguerre tail), the n x n node grid for the
+        # double integral.  Draws come from the thm3.1, thm3.5 and thm3.8
+        # boxes of verify, plus terminating inner series of degree 0 and 2.
         rng = np.random.default_rng(38)
-        cases = []
-        for p, q in [(0, 0), (1, 1), (2, 1), (1, 2)] * 3:
-            params = verify._sample_params(rng, p, q)
-            m = verify._bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
-            n = verify._bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
-            cases.append((m, n, params, verify._ball_z(rng, rmax=0.75)))
-        cases.append((
-            from_idempotent(1.2, 0.9), from_idempotent(0.8, 1.5),
-            PfqParams([-2.0, 0.7], [1.5]), from_idempotent(0.5, 0.3 + 0.2j),
-        ))
-        lhs = []
-        worker = quad._double_comp
 
-        def recording(*args):
-            out = worker(*args)
-            lhs.append(out[0])
-            return out
+        def node_sum(a, b, w, args):
+            values, _, _, statuses = kernels.series_sum_many(
+                a, b, args.ravel(), DEFAULT_TOL, DEFAULT_CAP
+            )
+            assert not statuses.any()
+            values = values.reshape(args.shape)
+            return w[0] @ values @ w[1] if len(w) == 2 else np.sum(w[0] * values)
 
-        monkeypatch.setattr(quad, "_double_comp", recording)
-        for m, n, params, z in cases:
-            lhs.clear()
-            double_integral(m, n, params, z, ProductCurve(CurveKind.UNIT_INTERVAL, nodes))
+        def euler_case(params, z):
+            a1, b1 = params.alphas[0], params.betas[0]
+            exps = [(a - 1.0, b - a - 1.0) for _, a, b in components(a1, b1)]
+            t, w = jacobi_rule_01(nodes, *zip(*exps))
+            sums = [
+                node_sum(params.comp_alphas(s)[1:], params.comp_betas(s)[1:], [w[s - 1]],
+                         zc * t[s - 1])
+                for s, zc in ((1, z.idem1), (2, z.idem2))
+            ]
+            curve = ProductCurve(CurveKind.UNIT_INTERVAL, nodes)
+            return "_euler_comp", lambda: euler_integral(params, z, curve), sums
+
+        def laplace_case(v, params, z):
+            t, w = jacobi_rule_01(nodes, [v.idem1 - 1.0, v.idem2 - 1.0], [0.0, 0.0])
+            sums = [
+                node_sum(params.comp_alphas(s), params.comp_betas(s),
+                         [w[s - 1] * np.exp(-t[s - 1])], zc * t[s - 1])
+                for s, zc in ((1, z.idem1), (2, z.idem2))
+            ]
+            curve = ProductCurve(CurveKind.HALF_LINE, nodes)
+            return "_laplace_comp", lambda: laplace_integral(v, params, z, curve), sums
+
+        def double_case(m, n, params, z):
             t, w = jacobi_rule_01(
                 nodes, [m.idem1 - 1.0, n.idem1 - 1.0, m.idem2 - 1.0, n.idem2 - 1.0],
                 [n.idem1, 0.0, n.idem2, 0.0],
             )
-            for s, zc, got in ((1, z.idem1, lhs[0]), (2, z.idem2, lhs[1])):
-                tu, tv, wu, wv = t[2 * s - 2], t[2 * s - 1], w[2 * s - 2], w[2 * s - 1]
+            sums = []
+            for s, zc in ((1, z.idem1), (2, z.idem2)):
+                tu, tv = t[2 * s - 2], t[2 * s - 1]
                 args = ((1.0 - tu)[:, None] * (1.0 - tv)[None, :]) * zc
-                values, _, _, statuses = kernels.series_sum_many(
-                    params.comp_alphas(s), params.comp_betas(s), args.ravel(),
-                    DEFAULT_TOL, DEFAULT_CAP,
-                )
-                assert not statuses.any()
-                want = wu @ values.reshape(args.shape) @ wv
-                assert abs(got - want) <= 1e-13 * abs(want), (s, params, z, got, want)
+                sums.append(node_sum(params.comp_alphas(s), params.comp_betas(s),
+                                     w[2 * s - 2 : 2 * s], args))
+            curve = ProductCurve(CurveKind.UNIT_INTERVAL, nodes)
+            return "_double_comp", lambda: double_integral(m, n, params, z, curve), sums
+
+        cases = []
+        for _ in range(6):
+            p, q = verify._pick(rng, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+            a1 = verify._bc_idem(rng, (0.3, 2.0), (-0.4, 0.4))
+            b1 = a1 + verify._bc_idem(rng, (0.3, 1.5), (-0.4, 0.4))
+            params = PfqParams(
+                [a1] + [verify._bc_idem(rng) for _ in range(p - 1)],
+                [b1] + [verify._bc_idem(rng) for _ in range(q - 1)],
+            )
+            cases.append(euler_case(params, verify._ball_z(rng, rmax=0.8)))
+        for _ in range(6):
+            p, q = verify._pick(rng, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+            params = verify._sample_params(rng, p, q)
+            v = verify._bc_idem(rng, (0.3, 2.5), (-0.4, 0.4))
+            cases.append(laplace_case(v, params, verify._ball_z(rng, rmax=0.75)))
+        for p, q in [(0, 0), (1, 1), (2, 1), (1, 2)] * 3:
+            params = verify._sample_params(rng, p, q)
+            m = verify._bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
+            n = verify._bc_idem(rng, (0.4, 2.2), (-0.3, 0.3))
+            cases.append(double_case(m, n, params, verify._ball_z(rng, rmax=0.75)))
+        m, n = from_idempotent(1.2, 0.9), from_idempotent(0.8, 1.5)
+        v = from_idempotent(2.5, 1.5)
+        z = from_idempotent(0.5, 0.3 + 0.2j)
+        for top in (0.0, -2.0):  # inner series of degree 0 and 2
+            cases.append(euler_case(PfqParams([0.8, top, 0.7], [2.1, 1.5]), z))
+            cases.append(laplace_case(v, PfqParams([top], [1.5]), z))
+            cases.append(double_case(m, n, PfqParams([top, 0.7], [1.5]), z))
+
+        def worker_lhs(worker_name, run, sums=None):
+            lhs = []
+            with monkeypatch.context() as patch:
+                worker = getattr(quad, worker_name)
+
+                def recording(*args):
+                    out = worker(*args)
+                    lhs.append(out[0])
+                    return out
+
+                patch.setattr(quad, worker_name, recording)
+                if sums is not None:
+                    # component s runs while lhs holds s - 1 entries
+                    patch.setattr(quad, "_inner_values", lambda *args: sums[len(lhs)])
+                run()
+            return lhs
+
+        for worker_name, run, sums in cases:
+            got = worker_lhs(worker_name, run)
+            want = worker_lhs(worker_name, run, sums)
+            for s in (0, 1):
+                assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), (worker_name, s, got, want)
 
     def test_node_doubling_converges(self):
         m = from_idempotent(1.2, 0.9)
