@@ -56,18 +56,27 @@ def _build_params(args) -> hyper.PfqParams:
     return hyper.PfqParams(alphas, betas)
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def _checked(kind: str, convert, accept):
+    """An argparse type: `convert` the text and keep the value if it
+    passes `accept`; anything else is a usage error that names `kind`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            ok = accept(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not math.isfinite(tol) or tol < 0.0:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return tol
+_count = _checked("an integer >= 0", int, lambda n: n >= 0)
+_grid_size = _checked("an integer >= 1", int, lambda n: n >= 1)
+_tolerance = _checked("a finite number >= 0", float, lambda x: math.isfinite(x) and x >= 0.0)
+_radius = _checked("a finite number > 0", float, lambda x: math.isfinite(x) and x > 0.0)
 
 
 def _emit(text: str, out_path):
@@ -279,8 +288,8 @@ def build_parser() -> _Parser:
 
     p_reg = sub.add_parser("region-plot", help="convergence point cloud for a ball-class shape")
     common(p_reg)
-    p_reg.add_argument("--grid", type=int, default=32)
-    p_reg.add_argument("--rmax", type=float, default=1.25)
+    p_reg.add_argument("--grid", type=_grid_size, default=32)
+    p_reg.add_argument("--rmax", type=_radius, default=1.25)
     p_reg.set_defaults(fn=_cmd_region_plot)
 
     p_coh = sub.add_parser("coherent", help="emit rho/f/coefficient tables as CSV")

@@ -79,6 +79,19 @@ class TestEval:
         assert code == 1
         assert out == "" and "usage error" in err and flag in err
 
+    @pytest.mark.parametrize(
+        "flag, value, kind",
+        [("--tol", "abc", "a finite number >= 0"), ("--cap", "x", "an integer >= 0"),
+         ("--cap", "2.5", "an integer >= 0")],
+    )
+    def test_malformed_number_names_the_kind_of_value(self, capsys, flag, value, kind):
+        code, out, err = run_cli(
+            capsys, "eval", "--pfq", "1,1", "--alphas", "1", "--betas", "2", "--z", "0.3",
+            flag, value,
+        )
+        assert code == 1 and out == ""
+        assert err == f"usage error: argument {flag}: expected {kind}, got {value!r}\n"
+
     def test_zero_tol_is_accepted(self, capsys):
         # the stop rule then waits for terms that round to 0
         code, out, _ = run_cli(
@@ -151,6 +164,11 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "thm4.1", "--samples", "-3")
         assert code == 1
         assert out == "" and "usage error" in err
+
+    def test_malformed_samples_names_the_kind_of_value(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "thm4.1", "--samples", "x")
+        assert code == 1 and out == ""
+        assert err == "usage error: argument --samples: expected an integer >= 0, got 'x'\n"
 
     def test_unknown_suite_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "thm99")
@@ -257,6 +275,29 @@ class TestRegionPlot:
         )
         assert code == 1
         assert out == "" and "usage error" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, kind",
+        [("--grid", "0", "an integer >= 1"), ("--grid", "-3", "an integer >= 1"),
+         ("--grid", "x", "an integer >= 1"), ("--rmax", "nan", "a finite number > 0"),
+         ("--rmax", "inf", "a finite number > 0"), ("--rmax", "-1", "a finite number > 0"),
+         ("--rmax", "0", "a finite number > 0")],
+    )
+    def test_bad_grid_or_radius_is_a_usage_error(self, capsys, flag, value, kind):
+        code, out, err = run_cli(
+            capsys, "region-plot", "--pfq", "2,1", "--alphas", "0.7,1.2",
+            "--betas", "1.9", flag, value,
+        )
+        assert code == 1 and out == ""
+        assert err == f"usage error: argument {flag}: expected {kind}, got {value!r}\n"
+
+    def test_one_point_grid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "region-plot", "--pfq", "2,1", "--alphas", "0.7,1.2",
+            "--betas", "1.9", "--grid", "1", "--rmax", "0.5",
+        )
+        assert code == 0
+        assert out == "r1,r2,converged\n0.0,0.0,1\n"
 
     def test_grid_flags(self, capsys):
         code, out, _ = run_cli(

@@ -38,6 +38,22 @@ def _beta_moment(B, A, k):
         return complex(mpmath.beta(mpmath.mpc(B) + 1 + k, mpmath.mpc(A) + 1))
 
 
+def _aberth_heights(monkeypatch, n, B, A):
+    """One ``jacobi_rule_01`` call's output, and the number of rows still
+    moving at each of its Aberth steps."""
+    heights = []
+    newton_ratio = quad._newton_ratio
+
+    def recording(x, diag, sb):
+        heights.append(len(x))
+        return newton_ratio(x, diag, sb)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quad, "_newton_ratio", recording)
+        rule = jacobi_rule_01(n, B, A)
+    return rule, heights
+
+
 class TestJacobiRule:
     def test_moments_match_beta_function(self):
         # integral of t^B (1-t)^A over [0,1] is a Beta value; complex exponents
@@ -110,30 +126,22 @@ class TestJacobiRule:
 
     @pytest.mark.parametrize("tol", [quad.ABERTH_TOL, 0.0])
     def test_mixed_stack_rows_leave_as_they_settle(self, monkeypatch, tol):
-        # A real-exponent row settles in one step, (0.3+0.35j, 1.1-0.3j)
-        # in 4 and (0.5+3j, 0.2-3j) in 8, each below ABERTH_TOL;
-        # (0.5+8j, 0.2-8j) stops on the floor rule after 17.  With
-        # ABERTH_TOL = 0 every row stops on the floor rule.  Each stacked
-        # row equals its lone rule and takes as many steps as it does alone.
+        # The Chebyshev row (-1/2, -1/2), whose asymptotic start is exact,
+        # settles in one step, (0.3+0.35j, 1.1-0.3j) in 2 and
+        # (0.5+3j, 0.2-3j) in 3, each below ABERTH_TOL; (0.5+8j, 0.2-8j)
+        # stops on the floor rule after 4.  With ABERTH_TOL = 0 every row
+        # stops on the floor rule.  Each stacked row equals its lone rule
+        # and takes as many steps as it does alone.
         monkeypatch.setattr(quad, "ABERTH_TOL", tol)
-        B = [0.25, 0.3 + 0.35j, 0.5 + 3j, 0.5 + 8j]
-        A = [1.5, 1.1 - 0.3j, 0.2 - 3j, 0.2 - 8j]
-        heights = []
-        newton_ratio = quad._newton_ratio
-
-        def recording(x, diag, sb):
-            heights.append(len(x))
-            return newton_ratio(x, diag, sb)
-
-        monkeypatch.setattr(quad, "_newton_ratio", recording)
+        B = [-0.5, 0.3 + 0.35j, 0.5 + 3j, 0.5 + 8j]
+        A = [-0.5, 1.1 - 0.3j, 0.2 - 3j, 0.2 - 8j]
         lone, steps = [], []
         for r in range(len(B)):
-            heights.clear()
-            lone.append(jacobi_rule_01(128, B[r], A[r]))
+            rule, heights = _aberth_heights(monkeypatch, 128, B[r], A[r])
+            lone.append(rule)
             steps.append(len(heights))
-        assert steps == ([1, 4, 8, 17] if tol else [3, 5, 10, 17])
-        heights.clear()
-        t, w = jacobi_rule_01(128, B, A)
+        assert steps == ([1, 2, 3, 4] if tol else [3, 4, 4, 4])
+        (t, w), heights = _aberth_heights(monkeypatch, 128, B, A)
         assert heights == [sum(s > k for s in steps) for k in range(max(steps))]
         for r, (lone_t, lone_w) in enumerate(lone):
             assert np.array_equal(t[r], lone_t) and np.array_equal(w[r], lone_w), r
@@ -156,11 +164,14 @@ class TestJacobiRule:
         with pytest.raises(PreconditionError):
             jacobi_rule_01(8, -1.2, 0.0)
 
-    def test_stack_validation_names_the_row_before_eigvalsh(self, monkeypatch):
+    def test_stack_validation_names_the_row_before_the_start(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("eigvalsh called")
+            raise AssertionError("node iteration started")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(quad, "_asymptotic_nodes", refuse)
+        monkeypatch.setattr(quad, "_newton_ratio", refuse)
+        with pytest.raises(AssertionError, match="node iteration started"):
+            jacobi_rule_01(16, [0.3, 0.5j, 0.4], [0.1, 0.2, 1.2 + 0.5j])
         with pytest.raises(PreconditionError, match=r"-1\.2.*rule 2"):
             jacobi_rule_01(16, [0.3, 0.5j, 0.4], [0.1, 0.2, -1.2 + 0.5j])
         for B, A in (([0.3, 0.4], [0.1]), (0.3, [0.1]), ([0.3], 0.1), ([], [])):
@@ -168,14 +179,78 @@ class TestJacobiRule:
                 jacobi_rule_01(16, B, A)
 
     def test_no_convergence_names_each_unsettled_row(self, monkeypatch):
-        # after one step the real-exponent row has settled, the others not
-        monkeypatch.setattr(quad, "MAX_ABERTH_STEPS", 1)
+        # after two steps the real-exponent row has settled, the others
+        # (3 and 5 steps alone) not
+        monkeypatch.setattr(quad, "MAX_ABERTH_STEPS", 2)
         with pytest.raises(NoConvergenceError) as info:
-            jacobi_rule_01(32, [0.3 + 0.35j, 0.25, -0.5 + 0.3j], [1.1 - 0.3j, 1.5, 0.8 - 0.2j])
+            jacobi_rule_01(32, [0.5 + 3j, 0.25, 0.5 + 8j], [0.2 - 3j, 1.5, 0.2 - 8j])
         message = str(info.value)
-        assert "(0.3+0.35j)" in message and "(-0.5+0.3j)" in message
-        assert "1.5" not in message
+        assert "(0.5+3j)" in message and "(0.5+8j)" in message
+        assert "(0.25+0j)" not in message and "(1.5+0j)" not in message
         assert message.count("last correction") == 2
+
+
+class TestAsymptoticStart:
+    """The Aberth loop of ``jacobi_rule_01`` starts from the interior
+    asymptotic formula for the Jacobi zeros at the complex exponents."""
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_verify_box_settles_in_three_steps(self, monkeypatch, n):
+        # exponents from the boxes the thm3.1/3.5/3.8 samplers draw from
+        rng = np.random.default_rng(20 + n)
+        B = [complex(rng.uniform(-0.7, 1.5), rng.uniform(-0.4, 0.4)) for _ in range(50)]
+        A = [complex(rng.uniform(-0.7, 2.2), rng.uniform(-0.4, 0.4)) for _ in range(50)]
+        _, heights = _aberth_heights(monkeypatch, n, B, A)
+        assert len(heights) <= 3
+
+    def test_chebyshev_start_is_exact(self, monkeypatch):
+        # at (-1/2, -1/2) the formula gives the zeros cos((2k-1) pi / 2n)
+        x = quad._asymptotic_nodes(64, np.array([[-0.5]]), np.array([[-0.5]]))
+        want = np.cos((2 * np.arange(1, 65) - 1) * np.pi / 128)
+        assert np.max(np.abs(x[0] - want)) <= 1e-15
+        _, heights = _aberth_heights(monkeypatch, 64, -0.5, -0.5)
+        assert len(heights) == 1
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    def test_wide_exponents_converge(self, n):
+        # Real parts up to 50 and imaginary parts up to 3, far outside the
+        # samplers' boxes: the rule still converges without a numpy
+        # warning, and its k = 0 and 1 moments keep the bound of
+        # test_large_imaginary_exponents.  At real parts near 50 the mass
+        # B(A+1, B+1) itself is off by up to 7e-14 (complex_gamma's error
+        # grows with |log gamma|), so the bound of test_moments_at_128_nodes
+        # is put on M_1 / M_0 = (B+1) / (A+B+2), which the mass cancels
+        # from, in the rows with imaginary parts up to 0.5.
+        rng = np.random.default_rng(n)
+        im = [0.5 if r % 2 else 3.0 for r in range(12)]
+        B = [complex(rng.uniform(-0.9, 50.0), rng.uniform(-m, m)) for m in im]
+        A = [complex(rng.uniform(-0.9, 50.0), rng.uniform(-m, m)) for m in im]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, w = jacobi_rule_01(n, B, A)
+        for r, m in enumerate(im):
+            got = [complex(np.sum(w[r] * t[r] ** k)) for k in (0, 1)]
+            for k in (0, 1):
+                want = _beta_moment(B[r], A[r], k)
+                assert abs(got[k] - want) <= 5e-11 * abs(want), (B[r], A[r], k)
+            ratio = (B[r] + 1.0) / (A[r] + B[r] + 2.0)
+            bound = 5e-14 if m <= 0.5 else 5e-11
+            assert abs(got[1] / got[0] - ratio) <= bound * abs(ratio), (B[r], A[r])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewest_nodes(self, n):
+        # the rule stays exact through degree 2n-1 at the smallest sizes
+        B = [0.3 + 0.35j, -0.5, 12 + 0.5j, -0.9 + 0.2j]
+        A = [1.1 - 0.3j, -0.5, 20 - 0.3j, 0.4]
+        t, w = jacobi_rule_01(n, B, A)
+        assert t.shape == w.shape == (len(B), n)
+        for r in range(len(B)):
+            lone_t, lone_w = jacobi_rule_01(n, B[r], A[r])
+            assert np.array_equal(t[r], lone_t) and np.array_equal(w[r], lone_w), r
+            for k in range(2 * n):
+                got = complex(np.sum(w[r] * t[r] ** k))
+                want = _beta_moment(B[r], A[r], k)
+                assert abs(got - want) < 1e-13 * abs(want), (r, k)
 
 
 class TestPinnedRuleBits:
@@ -183,9 +258,10 @@ class TestPinnedRuleBits:
 
     ``data/rule_bits.json`` holds, as ``float.hex``, the nodes and
     weights of ``jacobi_rule_01`` for three exponent pairs at n = 64
-    and 128 and of ``_laguerre_rule(64)``, recorded while each rule was
-    still built on its own.  The lone rules and the stacked rows (all
-    three pairs in one call) must keep these bits.
+    and 128, recorded from the asymptotic start, and of
+    ``_laguerre_rule(64)``, recorded while each rule was still built on
+    its own.  The lone rules and the stacked rows (all three pairs in
+    one call) must keep these bits.
     """
 
     DATA = json.loads((Path(__file__).parent / "data" / "rule_bits.json").read_text())
