@@ -74,7 +74,7 @@ def _checked(kind: str, convert, accept):
 
 
 _count = _checked("an integer >= 0", int, lambda n: n >= 0)
-_grid_size = _checked("an integer >= 1", int, lambda n: n >= 1)
+_positive_count = _checked("an integer >= 1", int, lambda n: n >= 1)
 _tolerance = _checked("a finite number >= 0", float, lambda x: math.isfinite(x) and x >= 0.0)
 _radius = _checked("a finite number > 0", float, lambda x: math.isfinite(x) and x > 0.0)
 
@@ -278,7 +278,7 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", help="suite id (thm2.1 ... cs-eigen) or 'all'")
-    p_ver.add_argument("--seed", type=int, default=7)
+    p_ver.add_argument("--seed", type=_count, default=7)
     p_ver.add_argument("--samples", type=_count, default=None,
                        help="cases per sampled phase (default: the suite's own)")
     p_ver.add_argument("--rows", action="store_true", help="include per-case rows in JSON")
@@ -288,13 +288,13 @@ def build_parser() -> _Parser:
 
     p_reg = sub.add_parser("region-plot", help="convergence point cloud for a ball-class shape")
     common(p_reg)
-    p_reg.add_argument("--grid", type=_grid_size, default=32)
+    p_reg.add_argument("--grid", type=_positive_count, default=32)
     p_reg.add_argument("--rmax", type=_radius, default=1.25)
     p_reg.set_defaults(fn=_cmd_region_plot)
 
     p_coh = sub.add_parser("coherent", help="emit rho/f/coefficient tables as CSV")
     common(p_coh, with_z=True)
-    p_coh.add_argument("--nmax", type=int, default=coherent_mod.DEFAULT_TRUNCATION)
+    p_coh.add_argument("--nmax", type=_positive_count, default=coherent_mod.DEFAULT_TRUNCATION)
     p_coh.set_defaults(fn=_cmd_coherent)
 
     return parser

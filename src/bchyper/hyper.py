@@ -211,14 +211,13 @@ def component_series(
     """One classical component sum via the kernel, (value, terms, tail).
 
     Gated by ``check_component`` before the kernel runs.  Terminating
-    series (nonpositive-integer numerator parameter) are summed exactly
-    with the cap and tail logic bypassed.
+    series (nonpositive-integer numerator parameter) are summed exactly,
+    in their degree with no stop rule and tail 0.0.  A sum that hits the
+    cap or overflows raises NoConvergenceError.
     """
     z = complex(z)
     k = check_component(comp_alphas, comp_betas, z)
-    if k is not None:
-        value = kernels.series_sum_terminating(comp_alphas, comp_betas, z, k)
-        return value, k + 1, 0.0
+    tol, cap = (tol, cap) if k is None else (None, k)
     value, n, tail, status = kernels.series_sum(comp_alphas, comp_betas, z, tol, cap)
     if status != kernels.STATUS_OK:
         raise NoConvergenceError(

@@ -10,17 +10,15 @@ and ``ratio_parts`` is the one place that writes the two products.
 Every kernel here, and every relation built on the coefficients,
 takes its ratios from it:
 
-- ``series_sum`` sums one argument, ``series_sum_many`` an array of
-  arguments in lockstep; they share the stop rule and the tail
-  majorant ``_tail``.  The package no longer calls ``series_sum_many``:
-  it is the node-by-node lane reference that the tests check the rule
-  sums against, and the benchmark traces it;
-- ``series_sum_terminating`` sums a fixed number of terms at one
-  argument;
-- ``moment_sum`` sums the series over the tensor product of R
-  quadrature rules termwise, each term c_k z^k times the product of
-  the rules' k-th moments, so n lanes per rule replace the n^R node
-  grid; every quadrature rule sum goes through it;
+- ``series_sum`` is the one scalar sum loop: at one argument, to the
+  stop rule or over a fixed number of terms (a terminating series),
+  plainly or termwise over the moments of a stack of quadrature rules.
+  Every function value, terminating sum and rule sum goes through it;
+- ``series_sum_many`` sums an array of arguments in lockstep with
+  ``series_sum``'s stop rule and tail majorant ``_tail``.  The package
+  no longer calls it: it is the node-by-node lane reference that the
+  tests check the rule sums against.  The benchmark traces it, and
+  ``series_sum_terminating``, a fixed-length ``series_sum``;
 - ``coeff_table`` and ``term_ratio`` give the coefficients and one
   ratio;
 - ``window_probe`` takes all ratios at once over an index array.
@@ -33,9 +31,9 @@ in Python complex, which rounds like numpy's scalar arithmetic; the
 ratio itself is a numpy division, ``np.complex128(num) / den``,
 because Python's complex division rounds differently.
 
-The stop rule of the three unending sums: three consecutive terms below
-tol * |partial sum|, after at least MIN_TERMS terms.  Status codes:
-0 = stop rule met, 1 = cap reached.
+The stop rule of ``series_sum`` and ``series_sum_many``: three
+consecutive terms below tol * |partial sum|, after at least MIN_TERMS
+terms.  Status codes: 0 = stop rule met, 1 = cap reached.
 """
 
 from __future__ import annotations
@@ -81,65 +79,36 @@ def _tail(alphas, betas, z, term, n):
     return np.where(below, tail, np.inf)
 
 
-def series_sum(alphas, betas, z, tol, cap):
+def series_sum(alphas, betas, z, tol, cap, weights=None, bases=None):
     """Truncated sum of the component series at argument z.
 
     Stops once three consecutive terms fall below tol * |partial sum|
-    and at least MIN_TERMS terms have been added.  Returns
-    (value, terms_used, tail_estimate, status); the tail is ``_tail``.
+    and at least MIN_TERMS terms have been added.  With tol None there
+    is no stop rule: the sum takes exactly cap ratio steps (a
+    terminating series of degree cap) and reports status OK and tail
+    0.0.  Returns (value, terms_used, tail_estimate, status); the tail
+    is ``_tail``, and inf at the cap.
+
+    Given an (R, n) stack of R rules, term k is c_k z^k prod_r M_rk,
+    M_rk the row sums of weights * bases**k (rule r's k-th moment).
+    This is the series summed over the tensor product of the rules,
+    sum weights[0, i] ... weights[R-1, l] F(z bases[0, i] ...
+    bases[R-1, l]), taken termwise: n lanes per rule where the node
+    grid takes n^R.  The rows of weights * bases**k advance together,
+    and the stop rule applies to the weighted terms.  ``_tail``
+    majorises only the plain series, so a rule sum's tail is NaN.
     """
-    total = term = 1.0 + 0.0j
-    below = 0
-    n = 0
-    while n < cap:
-        num, den = ratio_parts(alphas, betas, n)
-        term = term * (z * (np.complex128(num) / den))
-        total = total + term
-        n += 1
-        if abs(term) <= tol * abs(total):
-            below += 1
-            if below >= 3 and n >= MIN_TERMS:
-                return total, n + 1, float(_tail(alphas, betas, z, term, n)), STATUS_OK
-        else:
-            below = 0
-    return total, n + 1, np.inf, STATUS_CAP
-
-
-def series_sum_terminating(alphas, betas, z, last_n):
-    """Exact sum of a terminating series at the argument z: terms
-    n = 0 .. last_n inclusive."""
-    total = term = 1.0 + 0.0j
-    for n in range(last_n):
-        num, den = ratio_parts(alphas, betas, n)
-        term = term * (z * (np.complex128(num) / den))
-        total = total + term
-    return total
-
-
-def moment_sum(alphas, betas, z, weights, bases, tol, cap):
-    """sum_k c_k z^k prod_r M_rk for an (R, n) stack of R rules, M_rk the
-    row sums of weights * bases**k (rule r's k-th moment).
-
-    This is the component series F summed over the tensor product of
-    the rules, sum weights[0, i] ... weights[R-1, l] F(z bases[0, i] ...
-    bases[R-1, l]), taken termwise: n lanes per rule where the node grid
-    takes n^R.  One rule (R = 1) gives sum_i weights[0, i] F(z bases[0, i]).
-    The coefficients follow ``series_sum``'s recurrence and arithmetic,
-    and the rows of weights * bases**k advance together.  The stop rule
-    is ``series_sum``'s on the terms c_k z^k prod_r M_rk; with tol None
-    there is none and the sum takes exactly cap ratio steps (a
-    terminating series of degree cap).  Returns (value, status).
-    """
-    moments = np.array(weights, dtype=np.complex128)
-    total = math.prod(moments.sum(axis=1))
+    moments = None if weights is None else np.array(weights, dtype=np.complex128)
     coeff = 1.0 + 0.0j
+    total = coeff if moments is None else math.prod(moments.sum(axis=1))
     below = 0
     n = 0
     while n < cap:
         num, den = ratio_parts(alphas, betas, n)
-        coeff = coeff * (z * (np.complex128(num) / den))
-        moments *= bases
-        term = coeff * math.prod(moments.sum(axis=1))
+        coeff = term = coeff * (z * (np.complex128(num) / den))
+        if moments is not None:  # plain sums make no numpy call per term
+            moments *= bases
+            term = coeff * math.prod(moments.sum(axis=1))
         total = total + term
         n += 1
         if tol is None:
@@ -147,10 +116,20 @@ def moment_sum(alphas, betas, z, weights, bases, tol, cap):
         if abs(term) <= tol * abs(total):
             below += 1
             if below >= 3 and n >= MIN_TERMS:
-                return total, STATUS_OK
+                tail = np.nan if moments is not None else float(_tail(alphas, betas, z, term, n))
+                return total, n + 1, tail, STATUS_OK
         else:
             below = 0
-    return total, STATUS_OK if tol is None else STATUS_CAP
+    if tol is None:
+        return total, n + 1, 0.0, STATUS_OK
+    return total, n + 1, np.inf, STATUS_CAP
+
+
+def series_sum_terminating(alphas, betas, z, last_n):
+    """Exact sum of a terminating series at the argument z: terms
+    n = 0 .. last_n inclusive.  The package sums these through
+    ``series_sum`` with tol None; the benchmark traces this name."""
+    return series_sum(alphas, betas, z, None, last_n)[0]
 
 
 def coeff_table(alphas, betas, count):

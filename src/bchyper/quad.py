@@ -39,8 +39,9 @@ its own component's rows.
 
 Every representation sums its inner series the way the paper's proofs
 integrate it, term by term, through one gated path (``_inner_values``
-over ``kernels.moment_sum``): the rule sum sum_i w_i F(z b_i) is taken
-as sum_k c_k z^k M_k over the rule's moments M_k = sum_i w_i b_i^k.
+over ``kernels.series_sum`` with a rule stack): the rule sum
+sum_i w_i F(z b_i) is taken as sum_k c_k z^k M_k over the rule's
+moments M_k = sum_i w_i b_i^k.
 The Euler worker passes its rule (bases t), the Laplace worker the
 [0, 1] piece of its rule (weights w e^(-t), bases t; the Gauss-Laguerre
 tail stays a node loop, as its moments overflow at large nodes).  The
@@ -329,8 +330,9 @@ def _require_ball(z: BiComplex):
 def _inner_values(a, b, z, weights, bases):
     """The component series summed over the tensor product of an (R, n)
     stack of rules: sum_k c_k z^k prod_r M_rk with the moments M_rk =
-    sum_i weights[r, i] bases[r, i]^k (``kernels.moment_sum``), which
-    is the rule sum of F(z prod_r bases[r, i_r]) taken termwise.
+    sum_i weights[r, i] bases[r, i]^k (``kernels.series_sum`` with the
+    stack), which is the rule sum of F(z prod_r bases[r, i_r]) taken
+    termwise.
 
     The gate runs once, on the largest argument the rule sum reaches,
     |z| prod_r max|bases[r]|.  A terminating series is summed in
@@ -339,7 +341,7 @@ def _inner_values(a, b, z, weights, bases):
     """
     k = hyper.check_component(a, b, abs(z) * float(np.prod(np.max(np.abs(bases), axis=1))))
     tol, cap = (DEFAULT_TOL, DEFAULT_CAP) if k is None else (None, k)
-    value, status = kernels.moment_sum(a, b, z, weights, bases, tol, cap)
+    value, _, _, status = kernels.series_sum(a, b, z, tol, cap, weights, bases)
     if status != kernels.STATUS_OK:
         raise NoConvergenceError("inner series hit the term cap inside the quadrature")
     return value

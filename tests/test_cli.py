@@ -67,6 +67,14 @@ class TestEval:
         assert code == 1
         assert "DomainError" in err
 
+    def test_overflowing_terminating_sum_is_an_error(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(
+                capsys, "eval", "--pfq", "2,0", "--alphas=-150,1", "--z", "1000",
+                "--format", "json",
+            )
+        assert code == 1 and out == ""
+        assert err.startswith("error: NoConvergenceError")
 
     @pytest.mark.parametrize(
         "flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--cap", "-5")]
@@ -169,6 +177,12 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "thm4.1", "--samples", "x")
         assert code == 1 and out == ""
         assert err == "usage error: argument --samples: expected an integer >= 0, got 'x'\n"
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_seed_is_a_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "thm4.1", "--seed", value)
+        assert code == 1 and out == ""
+        assert err == f"usage error: argument --seed: expected an integer >= 0, got {value!r}\n"
 
     def test_unknown_suite_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "thm99")
@@ -326,6 +340,15 @@ class TestCoherentCommand:
         assert first[0] == "0" and float(first[1]) == 1.0
         # f(0)^2 = 1 for the oscillator tower
         assert abs(float(first[3]) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("value", ["-3", "0", "x"])
+    def test_bad_nmax_is_a_usage_error(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "coherent", "--pfq", "1,1", "--alphas", "2", "--betas", "3",
+            "--z", "0.4", "--nmax", value,
+        )
+        assert code == 1 and out == ""
+        assert err == f"usage error: argument --nmax: expected an integer >= 1, got {value!r}\n"
 
     def test_rejects_bad_spec(self, capsys):
         code, _, err = run_cli(

@@ -307,6 +307,14 @@ class TestDomain:
         got = pfq_value(params, from_idempotent(2.0, 3.0))
         assert np.isfinite(got.norm2())
 
+    def test_terminating_overflow_raises(self):
+        # the degree-150 polynomial's terms overflow at z = 1000 and the
+        # sum turns to nan: that is no value, and tail 0.0 no bound
+        with pytest.raises(NoConvergenceError, match="overflowed"), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            pfq(PfqParams([-150.0, 1.0], []), BiComplex(1e3))
+
     def test_gate_both_components_before_summing(self):
         # component 1 (|z1| = 0.999) would exhaust the cap; component 2
         # lies outside the ball, and that is reported first

@@ -28,6 +28,19 @@ class TestScalarKernel:
         _, _, _, status = kernels.series_sum(GAUSS_A, GAUSS_B, 0.9 + 0j, 1e-15, 20)
         assert status == kernels.STATUS_CAP
 
+    def test_no_stop_rule_takes_exactly_cap_steps(self):
+        # at |z| = 0.05 the stop rule ends the sum near 14 terms; with
+        # tol None it runs on to the cap, and the value is the one the
+        # sum reaches at the cap when no term is small enough (tol 0)
+        z = 0.05 - 0.02j
+        assert kernels.series_sum(GAUSS_A, GAUSS_B, z, 1e-15, 10_000)[1] < 20
+        for cap in (0, 3, 40):
+            v, n, tail, status = kernels.series_sum(GAUSS_A, GAUSS_B, z, None, cap)
+            assert (n, tail, status) == (cap + 1, 0.0, kernels.STATUS_OK), cap
+            want, _, _, want_status = kernels.series_sum(GAUSS_A, GAUSS_B, z, 0.0, cap)
+            assert _same_bits(complex(v), complex(want)), cap
+            assert want_status == kernels.STATUS_CAP
+
     def test_terminating(self):
         a = np.array([-3.0 + 0j, 1.2 + 0j], dtype=np.complex128)
         b = np.array([1.7 + 0j], dtype=np.complex128)
@@ -92,31 +105,44 @@ def _representable(w) -> bool:
 
 
 class TestMomentSum:
+    """``series_sum`` over an (R, n) stack of rules, each term weighted
+    by the product of the rules' moments."""
+
     # one or two one-node rules of unit weight and base: every moment is
-    # 1, so the terms, stop point and status are series_sum's, bit for bit
+    # 1, so the terms, stop point and status are the plain sum's, bit for bit
     UNITS = (np.ones((1, 1), dtype=np.complex128), np.ones((2, 1), dtype=np.complex128))
 
     def test_one_node_rules_are_the_scalar_sum(self, rng):
         radii = np.linspace(0.05, 0.95, 12)
         for z in radii * np.exp(2j * np.pi * rng.random(radii.size)):
             for cap in (10_000, 20):
-                v, _, _, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, cap)
+                v, n, _, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, cap)
                 for unit in self.UNITS:
-                    got, status = kernels.moment_sum(
-                        GAUSS_A, GAUSS_B, complex(z), unit, unit, 1e-15, cap
+                    got, terms, _, status = kernels.series_sum(
+                        GAUSS_A, GAUSS_B, complex(z), 1e-15, cap, unit, unit
                     )
                     assert _same_bits(complex(got), complex(v)) and status == s, (
                         abs(z), cap, len(unit),
                     )
+                    assert terms == n
 
     def test_terminating_sum_takes_exactly_its_degree(self):
         # the pole at -3 lies past the degree 2: one more step would divide by zero
         a, b, z = [-2.0, 0.7], [-3.0], 0.6 - 0.3j
         want = kernels.series_sum_terminating(a, b, z, 2)
         for unit in self.UNITS:
-            got, status = kernels.moment_sum(a, b, z, unit, unit, None, 2)
+            got, terms, _, status = kernels.series_sum(a, b, z, None, 2, unit, unit)
             assert _same_bits(complex(got), complex(want)), len(unit)
-            assert status == kernels.STATUS_OK
+            assert terms == 3 and status == kernels.STATUS_OK
+
+    def test_tail_is_nan(self):
+        # _tail majorises the plain series, not the moment-weighted one
+        weights = np.full((1, 4), 0.25, dtype=np.complex128)
+        bases = np.linspace(0.1, 0.7, 4).reshape(1, 4).astype(np.complex128)
+        _, _, tail, status = kernels.series_sum(
+            GAUSS_A, GAUSS_B, 0.5 + 0.2j, 1e-15, 10_000, weights, bases
+        )
+        assert status == kernels.STATUS_OK and math.isnan(tail)
 
 
 class TestCoeffTable:
@@ -240,6 +266,8 @@ class TestPinnedBits:
                 got = {"value": self._hex(v), "terms": n, "status": status}
                 assert got == case["series_sum"], label
                 got = self._hex(kernels.series_sum_terminating(*vectors, z, 12))
+                assert got == case["series_sum_terminating_12"], label
+                got = self._hex(kernels.series_sum(*vectors, z, None, 12)[0])
                 assert got == case["series_sum_terminating_12"], label
                 got = [self._hex(c) for c in kernels.coeff_table(*vectors, 30)]
                 assert got == case["coeff_table_30"], label
