@@ -43,8 +43,9 @@ over ``kernels.series_sum`` with a rule stack): the rule sum
 sum_i w_i F(z b_i) is taken as sum_k c_k z^k M_k over the rule's
 moments M_k = sum_i w_i b_i^k.
 The Euler worker passes its rule (bases t), the Laplace worker the
-[0, 1] piece of its rule (weights w e^(-t), bases t; the Gauss-Laguerre
-tail stays a node loop, as its moments overflow at large nodes).  The
+[0, 1] piece of its rule (weights w e^(-t), bases t) and then its
+Gauss-Laguerre tail over scaled bases t / s in (0, 1], whose moments
+cannot overflow.  The
 double representation never forms its n x n node grid: the tensor
 rule's sum sum_ij wu_i wv_j F(z (1-tu_i) (1-tv_j)) is sum_k c_k z^k
 U_k V_k over the two rules' moments U_k = sum_i wu_i (1-tu_i)^k and
@@ -70,7 +71,6 @@ from .identities import IdentityReport, make_report
 from .numbers import BiComplex, components
 
 DEFAULT_NODES = 64
-TAIL_CUTOFF = 1e-16
 # Node iteration of jacobi_rule_01: stop once the largest correction is
 # below ABERTH_TOL, or below ABERTH_FLOOR_START and no longer halving;
 # give up after MAX_ABERTH_STEPS.
@@ -412,19 +412,16 @@ def _laplace_comp(a, b, z, v, rules):
     # [0, 1]: the complex-exponent endpoint is part of the weight.
     [(t1, w1)] = rules
     piece1 = _inner_values(a, b, z, (w1 * np.exp(-t1))[None], t1[None])
-    # [1, inf): smooth integrand, plain Gauss-Laguerre after t = 1 + u,
-    # truncated once the weighted terms stop mattering.
-    piece2 = 0.0 + 0.0j
-    for u, wl in zip(*_laguerre_rule(len(t1))):
-        t = 1.0 + u
-        if z.real * t > 700.0:
-            break
-        term = wl * t ** (v - 1.0) * hyper.component_series(a, b, z * t)[0]
-        piece2 += term
-        if abs(term) < TAIL_CUTOFF * max(1.0, abs(piece2)):
-            break
-    piece2 *= math.exp(-1.0)
-    lhs = complex((piece1 + piece2) / complex_gamma(v))
+    # [1, inf): plain Gauss-Laguerre after t = 1 + u, over the nodes with
+    # |z| t <= 700, where F(z t) and the factors c_k (z s)^k of the
+    # scaled sum stay below about e^700.  The argument z s carries the
+    # scale of the bases t / s, s the largest kept node.
+    u, wl = _laguerre_rule(len(t1))
+    keep = abs(z) * (1.0 + u) <= 700.0
+    t, wl = 1.0 + u[keep], wl[keep]
+    s = t.max()
+    piece2 = _inner_values(a, b, z * s, (wl * t ** (v - 1.0))[None], (t / s)[None])
+    lhs = complex((piece1 + piece2 * math.exp(-1.0)) / complex_gamma(v))
     return lhs, hyper.component_series([v] + a, b, z)[0]
 
 

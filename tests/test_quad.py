@@ -342,8 +342,9 @@ def _integral_runs(params, nodes=128):
 
 class TestInnerSeriesLanes:
     """Every integral representation sums its inner series over its
-    rules' moments, once per component: no series kernel sees more than
-    n arguments, and the lockstep array kernel is not called."""
+    rules' moments: once per component, and twice for Laplace (its
+    [0, 1] rule and its Gauss-Laguerre tail).  No series kernel sees
+    more than n arguments, and the lockstep array kernel is not called."""
 
     KERNELS = ("series_sum", "series_sum_many", "series_sum_terminating")
 
@@ -373,8 +374,9 @@ class TestInnerSeriesLanes:
 
         monkeypatch.setattr(quad, "_inner_values", recording_inner)
         assert _integral_runs(params)[integral]().passed
-        assert len(inner_calls) == 2
-        assert called.count("moment sum") == 2 and "series_sum_many" not in called
+        assert len(inner_calls) == (4 if integral == "laplace" else 2)
+        assert called.count("moment sum") == len(inner_calls)
+        assert "series_sum_many" not in called
         assert max(sizes) <= 128, max(sizes)
 
     @pytest.mark.parametrize("integral", ["euler", "laplace", "double"])
@@ -497,6 +499,26 @@ class TestLaplace:
                 moment = math.fsum(w * t**k)
                 assert abs(moment - math.factorial(k)) <= 5e-14 * math.factorial(k), (n, k)
 
+    @pytest.mark.parametrize("nodes", [256, 512])
+    @pytest.mark.parametrize(
+        "params", [PfqParams([1.1], [1.8]), PfqParams([-3.0], [1.5])],
+        ids=["unending", "terminating"],
+    )
+    def test_tail_near_the_unit_circle_is_finite_and_quiet(self, nodes, params):
+        # |z| = 0.97 in both components: the tail's scaled moment sum runs
+        # to arguments |z| s near 700, and at n = 512 (largest node about
+        # 2004) the |z| t <= 700 filter drops nodes
+        u, _ = quad._laguerre_rule(nodes)
+        if nodes == 512:
+            assert np.max(0.97 * (1.0 + u)) > 700.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = laplace_integral(
+                from_idempotent(2.5, 1.5), params, from_idempotent(0.97, -0.97),
+                ProductCurve(CurveKind.HALF_LINE, nodes),
+            )
+        assert rep.passed and rep.residual.max_comp() < 1e-7
+
     def test_binomial_example(self):
         # (1/Gamma(3)) * integral t^2 e^((Z-1)t) = (1-Z)^(-3)
         rep = laplace_integral(3.0, PfqParams([], []), from_idempotent(0.2, 0.5))
@@ -570,13 +592,14 @@ class TestDouble:
 
     @pytest.mark.parametrize("nodes", [16, 64, 128])
     def test_moment_sum_is_the_node_grid_sum(self, monkeypatch, nodes):
-        # Each worker takes its rule sum termwise over the rules' moments.
-        # Its lhs must match the lhs built on the node-by-node sum of the
-        # array kernel over the same rules: sum_i w_i F(z t_i) for Euler,
-        # the [0, 1] piece sum_i w_i e^(-t_i) F(z t_i) for Laplace (with
-        # the same Gauss-Laguerre tail), the n x n node grid for the
-        # double integral.  Draws come from the thm3.1, thm3.5 and thm3.8
-        # boxes of verify, plus terminating inner series of degree 0 and 2.
+        # Each worker takes its rule sums termwise over the rules' moments.
+        # Its lhs must match the lhs built on the node-by-node sums of the
+        # array kernel over the same rules: sum_i w_i F(z t_i) for Euler;
+        # for Laplace the [0, 1] piece sum_i w_i e^(-t_i) F(z t_i) and the
+        # tail sum_l W_l F(z t_l) over the Gauss-Laguerre nodes t_l = 1 + u_l,
+        # W_l = wl_l t_l^(v-1); the n x n node grid for the double integral.
+        # Draws come from the thm3.1, thm3.5 and thm3.8 boxes of verify,
+        # plus terminating inner series of degree 0 and 2.
         rng = np.random.default_rng(38)
 
         def node_sum(a, b, w, args):
@@ -601,11 +624,12 @@ class TestDouble:
 
         def laplace_case(v, params, z):
             t, w = jacobi_rule_01(nodes, [v.idem1 - 1.0, v.idem2 - 1.0], [0.0, 0.0])
-            sums = [
-                node_sum(params.comp_alphas(s), params.comp_betas(s),
-                         [w[s - 1] * np.exp(-t[s - 1])], zc * t[s - 1])
-                for s, zc in ((1, z.idem1), (2, z.idem2))
-            ]
+            u, wl = quad._laguerre_rule(nodes)
+            sums = []
+            for s, zc, vc in ((1, z.idem1, v.idem1), (2, z.idem2, v.idem2)):
+                a, b = params.comp_alphas(s), params.comp_betas(s)
+                sums.append(node_sum(a, b, [w[s - 1] * np.exp(-t[s - 1])], zc * t[s - 1]))
+                sums.append(node_sum(a, b, [wl * (1.0 + u) ** (vc - 1.0)], zc * (1.0 + u)))
             curve = ProductCurve(CurveKind.HALF_LINE, nodes)
             return "_laplace_comp", lambda: laplace_integral(v, params, z, curve), sums
 
@@ -663,9 +687,12 @@ class TestDouble:
 
                 patch.setattr(quad, worker_name, recording)
                 if sums is not None:
-                    # component s runs while lhs holds s - 1 entries
-                    patch.setattr(quad, "_inner_values", lambda *args: sums[len(lhs)])
+                    # the rule sums in the order the workers take them
+                    queue = iter(sums)
+                    patch.setattr(quad, "_inner_values", lambda *args: next(queue))
                 run()
+                if sums is not None:
+                    assert next(queue, None) is None, "a reference rule sum was not taken"
             return lhs
 
         for worker_name, run, sums in cases:
