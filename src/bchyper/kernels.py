@@ -12,7 +12,8 @@ takes its ratios from it:
 
 - ``series_sum`` is the one scalar sum loop: at one argument, to the
   stop rule or over a fixed number of terms (a terminating series),
-  plainly or termwise over the moments of a stack of quadrature rules.
+  plainly or termwise over the moments of a stack of quadrature rules,
+  given by their nodes or by their Jacobi matrices.
   Every function value, terminating sum and rule sum goes through it;
 - ``series_sum_many`` sums an array of arguments in lockstep with
   ``series_sum``'s stop rule and tail majorant ``_tail``.  The package
@@ -79,7 +80,7 @@ def _tail(alphas, betas, z, term, n):
     return np.where(below, tail, np.inf)
 
 
-def series_sum(alphas, betas, z, tol, cap, weights=None, bases=None):
+def series_sum(alphas, betas, z, tol, cap, start=None, step=None):
     """Truncated sum of the component series at argument z.
 
     Stops once three consecutive terms fall below tol * |partial sum|
@@ -89,26 +90,56 @@ def series_sum(alphas, betas, z, tol, cap, weights=None, bases=None):
     0.0.  Returns (value, terms_used, tail_estimate, status); the tail
     is ``_tail``, and inf at the cap.
 
-    Given an (R, n) stack of R rules, term k is c_k z^k prod_r M_rk,
-    M_rk the row sums of weights * bases**k (rule r's k-th moment).
-    This is the series summed over the tensor product of the rules,
-    sum weights[0, i] ... weights[R-1, l] F(z bases[0, i] ...
-    bases[R-1, l]), taken termwise: n lanes per rule where the node
-    grid takes n^R.  The rows of weights * bases**k advance together,
-    and the stop rule applies to the weighted terms.  ``_tail``
-    majorises only the plain series, so a rule sum's tail is NaN.
+    Given a stack of R quadrature rules, term k is c_k z^k prod_r M_rk
+    over the rules' k-th moments M_rk, which a state of R length-n rows
+    carries from one term to the next.  This is the series summed over
+    the tensor product of the rules, taken termwise: n lanes per rule
+    where the node grid takes n^R.  The stack comes in one of two forms:
+
+    - node rules: start the (R, n) weights and step the (R, n) bases.
+      Each term multiplies the state by the bases, and M_rk is the row
+      sum of weights * bases**k;
+    - Jacobi matrices: start the (R, n) state mass * e_0 and step the
+      (R, 2, n) diagonals and squared off-diagonals (the last entry
+      unused) of R symmetric tridiagonal n x n matrices B_r.  Each term
+      multiplies the state by B_r, and M_rk is its entry 0, mass (B_r^k)_00,
+      which is the n-node Gauss rule's moment for every k (Golub and
+      Welsch).  The product runs on D^-1 B_r D for the diagonal D with
+      D_00 = 1 that puts 1/4 below the diagonal and 4 times the squared
+      off-diagonal above it, so no square root or sign is taken.
+
+    The stop rule applies to the weighted terms.  ``_tail`` majorises
+    only the plain series, so a rule sum's tail is NaN.
     """
-    moments = None if weights is None else np.array(weights, dtype=np.complex128)
+    matrices = step is not None and np.ndim(step) == 3
     coeff = 1.0 + 0.0j
-    total = coeff if moments is None else math.prod(moments.sum(axis=1))
+    if matrices:
+        # the state between two zero columns: the product's three
+        # diagonals meet three fixed views of it
+        rows, size = np.shape(start)
+        state = np.zeros((rows, size + 2), dtype=np.complex128)
+        entries, after, before = state[:, 1:-1], state[:, 2:], state[:, :-2]
+        entries[...] = start
+        diag, upper = step[:, 0], 4.0 * step[:, 1]
+        total = math.prod(state[:, 1])
+    else:
+        state = None if start is None else np.array(start, dtype=np.complex128)
+        total = coeff if state is None else math.prod(state.sum(axis=1))
     below = 0
     n = 0
     while n < cap:
         num, den = ratio_parts(alphas, betas, n)
         coeff = term = coeff * (z * (np.complex128(num) / den))
-        if moments is not None:  # plain sums make no numpy call per term
-            moments *= bases
-            term = coeff * math.prod(moments.sum(axis=1))
+        if state is not None:  # plain sums make no numpy call per term
+            if matrices:
+                product = diag * entries
+                product += upper * after
+                product += 0.25 * before
+                entries[...] = product
+                term = coeff * math.prod(state[:, 1])
+            else:
+                state *= step
+                term = coeff * math.prod(state.sum(axis=1))
         total = total + term
         n += 1
         if tol is None:
@@ -116,7 +147,7 @@ def series_sum(alphas, betas, z, tol, cap, weights=None, bases=None):
         if abs(term) <= tol * abs(total):
             below += 1
             if below >= 3 and n >= MIN_TERMS:
-                tail = np.nan if moments is not None else float(_tail(alphas, betas, z, term, n))
+                tail = np.nan if state is not None else float(_tail(alphas, betas, z, term, n))
                 return total, n + 1, tail, STATUS_OK
         else:
             below = 0

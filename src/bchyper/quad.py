@@ -27,30 +27,40 @@ its real Jacobi matrix, handles the smooth tail.
 asymptotic start over the (R, n) stack, one Aberth loop in which the
 recurrences run on the rows still moving (a row leaves once it
 settles), one weight pass.  Each row is bit for bit the rule built
-alone, which is the R = 1 case of the same code.
+alone, which is the R = 1 case of the same code.  ``_jacobi_stack``
+validates the exponents and builds the masses and Jacobi matrices, for
+``jacobi_rule_01`` and for the representations that never solve for
+nodes.
 
 Each representation is a classical component worker (``_euler_comp``,
 ``_laplace_comp``, ``_double_comp``) returning (quadrature, series) for
 one component; ``hyper.per_component`` runs it on both components and
 ``identities.make_report`` glues the pairs, as for every relation in
-``identities``.  The Gauss rules of both components are built first,
-in one stacked call (``_component_rules``), and each worker receives
-its own component's rows.
+``identities``.  The Gauss rules of both components, or their Jacobi
+matrices, are built first, in one stacked call (``_component_rules``,
+``_component_matrices``), and each worker receives its own
+component's rows.
 
 Every representation sums its inner series the way the paper's proofs
 integrate it, term by term, through one gated path (``_inner_values``
 over ``kernels.series_sum`` with a rule stack): the rule sum
 sum_i w_i F(z b_i) is taken as sum_k c_k z^k M_k over the rule's
-moments M_k = sum_i w_i b_i^k.
-The Euler worker passes its rule (bases t), the Laplace worker the
-[0, 1] piece of its rule (weights w e^(-t), bases t) and then its
-Gauss-Laguerre tail over scaled bases t / s in (0, 1], whose moments
-cannot overflow.  The
-double representation never forms its n x n node grid: the tensor
-rule's sum sum_ij wu_i wv_j F(z (1-tu_i) (1-tv_j)) is sum_k c_k z^k
-U_k V_k over the two rules' moments U_k = sum_i wu_i (1-tu_i)^k and
-V_k = sum_j wv_j (1-tv_j)^k, the same quadrature in O(nK) work for K
-terms instead of O(n^2 K).
+moments M_k = sum_i w_i b_i^k.  By Golub and Welsch these are
+mass (B^k)_00 for every k, B the rule's n x n Jacobi matrix in the
+bases b, so the Euler and double workers solve for no nodes: each
+term takes one tridiagonal product of the state mass e_0 with
+B = (I + J) / 2 (Euler, bases t) or (I - J) / 2 (double, bases 1 - t),
+J the matrix on [-1, 1], and the gate reads |z|, as the bases have
+modulus at most 1 on [0, 1].  The double representation never forms
+its n x n node grid: the tensor rule's sum sum_ij wu_i wv_j
+F(z (1-tu_i) (1-tv_j)) is sum_k c_k z^k U_k V_k over the two rules'
+moments U_k and V_k in the bases 1 - t, the same quadrature in O(nK)
+work for K terms instead of O(n^2 K).
+The Laplace worker keeps its nodes: its [0, 1] rule carries e^(-t),
+not a polynomial in t (it would need the action of e^(-J)), and its
+Gauss-Laguerre tail needs them for its |z| t <= 700 cut.  It passes the
+[0, 1] piece of its rule (weights w e^(-t), bases t) and then its tail
+over scaled bases t / s in (0, 1], whose moments cannot overflow.
 """
 
 from __future__ import annotations
@@ -207,16 +217,17 @@ def _asymptotic_nodes(n: int, alpha, beta):
     return np.cos(phi + ((0.25 - alpha**2) / half - (0.25 - beta**2) * half) / rho**2)
 
 
-def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
-    """Nodes and weights for integral_0^1 t^B (1-t)^A g(t) dt.
+def _jacobi_stack(n: int, t_exp, one_minus_t_exp):
+    """The validated exponents and the n x n Jacobi matrices of the
+    weights t^B (1-t)^A on [0, 1], from two numbers or two equal-length
+    sequences of R exponents B = t_exp and A = one_minus_t_exp (real
+    part > -1).
 
-    B = t_exp and A = one_minus_t_exp may be complex with real part
-    > -1.  Given two numbers, returns complex nodes (near [0,1]) and
-    weights as (n,) arrays.  Given two equal-length sequences of R
-    exponents, returns (R, n) arrays, row r the rule for (B[r], A[r]):
-    the R rules are built in one stacked pass (one asymptotic start,
-    one Aberth loop whose recurrences run on the rows still moving, one
-    weight pass), and each row is bit for bit the rule built alone.
+    Returns (betas, alphas, mass, diag, off): the exponents as lists of
+    R complex numbers, the (R, 1) masses B(A+1, B+1) and the (R, n)
+    diagonals and (R, n - 1) squared off-diagonals of the matrices J on
+    [-1, 1] (``_jacobi_coefficients``).  ``jacobi_rule_01`` solves them
+    for nodes; ``_component_matrices`` keeps them as matrices.
     """
     shape = np.shape(t_exp)
     if np.shape(one_minus_t_exp) != shape or len(shape) > 1 or 0 in shape:
@@ -243,6 +254,22 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     off = np.empty((count, n - 1), dtype=np.complex128)
     for r, (beta, alpha) in enumerate(zip(betas, alphas)):
         diag[r], off[r] = _jacobi_coefficients(n, alpha, beta)
+    return betas, alphas, mass, diag, off
+
+
+def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
+    """Nodes and weights for integral_0^1 t^B (1-t)^A g(t) dt.
+
+    B = t_exp and A = one_minus_t_exp may be complex with real part
+    > -1.  Given two numbers, returns complex nodes (near [0,1]) and
+    weights as (n,) arrays.  Given two equal-length sequences of R
+    exponents, returns (R, n) arrays, row r the rule for (B[r], A[r]):
+    the R rules are built in one stacked pass (one asymptotic start,
+    one Aberth loop whose recurrences run on the rows still moving, one
+    weight pass), and each row is bit for bit the rule built alone.
+    """
+    betas, alphas, mass, diag, off = _jacobi_stack(n, t_exp, one_minus_t_exp)
+    count = len(betas)
     sb = np.sqrt(off)
     x = _asymptotic_nodes(n, np.array(alphas)[:, None], np.array(betas)[:, None])
     # Aberth-Ehrlich steps from the asymptotic start on all nodes of the
@@ -276,7 +303,7 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     x = np.sort_complex(x)
     t = (1.0 + x) / 2.0
     weights = mass / _eigenvector_norm(x, diag, sb)
-    if not shape:
+    if not np.ndim(t_exp):
         return t[0], weights[0]
     return t, weights
 
@@ -327,21 +354,30 @@ def _require_ball(z: BiComplex):
             raise DomainError(f"argument component {s} has modulus {abs(comp)} >= 1")
 
 
-def _inner_values(a, b, z, weights, bases):
-    """The component series summed over the tensor product of an (R, n)
-    stack of rules: sum_k c_k z^k prod_r M_rk with the moments M_rk =
-    sum_i weights[r, i] bases[r, i]^k (``kernels.series_sum`` with the
-    stack), which is the rule sum of F(z prod_r bases[r, i_r]) taken
-    termwise.
+def _inner_values(a, b, z, start, step):
+    """The component series summed over the tensor product of a stack
+    of R rules: sum_k c_k z^k prod_r M_rk over the rules' moments M_rk
+    (``kernels.series_sum`` with the stack), which is the rule sum of
+    F(z prod_r b_r) over the nodes b_r taken termwise.  The stack is
+    node rules, (R, n) weights and bases, or Jacobi matrices, mass * e_0
+    and (R, 2, n) diagonals and squared off-diagonals, as ``series_sum``
+    takes them.
 
-    The gate runs once, on the largest argument the rule sum reaches,
-    |z| prod_r max|bases[r]|.  A terminating series is summed in
-    exactly its degree; an unending one to the package's stop rule,
-    and reaching the term cap raises NoConvergenceError.
+    The gate runs once, on the largest argument the rule sum reaches:
+    |z| prod_r max|bases[r]| over node rules, and |z| over matrices,
+    whose bases are the nodes of Gauss rules on [0, 1], of modulus at
+    most 1 on the real path (0.99997 at most over seeded rules from
+    the verify samplers' box of complex exponents; 1.0003 at imaginary
+    parts near 3).  A terminating series is summed in exactly its
+    degree; an unending one to the package's stop rule, and reaching
+    the term cap raises NoConvergenceError.
     """
-    k = hyper.check_component(a, b, abs(z) * float(np.prod(np.max(np.abs(bases), axis=1))))
+    radius = abs(z)
+    if np.ndim(step) == 2:
+        radius *= float(np.prod(np.max(np.abs(step), axis=1)))
+    k = hyper.check_component(a, b, radius)
     tol, cap = (DEFAULT_TOL, DEFAULT_CAP) if k is None else (None, k)
-    value, _, _, status = kernels.series_sum(a, b, z, tol, cap, weights, bases)
+    value, _, _, status = kernels.series_sum(a, b, z, tol, cap, start, step)
     if status != kernels.STATUS_OK:
         raise NoConvergenceError("inner series hit the term cap inside the quadrature")
     return value
@@ -369,10 +405,31 @@ def _component_rules(nodes: int, exponents) -> _PerComponent:
     return _PerComponent(rules[: len(one)], rules[len(one) :])
 
 
-def _euler_comp(a, b, z, rules):
+def _component_matrices(nodes: int, exponents, sign: float) -> _PerComponent:
+    """The Jacobi matrices of every Gauss rule of both idempotent
+    components, from one stacked ``_jacobi_stack`` call, as the
+    (start, step) stacks ``_inner_values`` takes.
+
+    `exponents` is as for ``_component_rules``.  Each rule of weight
+    t^B (1-t)^A becomes the n x n matrix B = (I + sign J) / 2 of its
+    bases t (sign 1) or 1 - t (sign -1), J its Jacobi matrix on
+    [-1, 1]; B keeps J's squared off-diagonal divided by 4, whichever
+    the sign.  The moments mass (B^k)_00 are the n-node Gauss rule's
+    sums sum_i w_i b_i^k for every k, with no node solved for.
+    """
+    one, two = exponents
+    _, _, mass, diag, off = _jacobi_stack(nodes, *zip(*one, *two))
+    start = np.zeros_like(diag)
+    start[:, :1] = mass
+    step = np.zeros((len(diag), 2, nodes), dtype=np.complex128)
+    step[:, 0] = (1.0 + sign * diag) / 2.0
+    step[:, 1, :-1] = off / 4.0
+    return _PerComponent((start[: len(one)], step[: len(one)]), (start[len(one) :], step[len(one) :]))
+
+
+def _euler_comp(a, b, z, matrices):
     """Component worker: (beta-kernel quadrature, series) at z."""
-    [(t, w)] = rules
-    integral = _inner_values(a[1:], b[1:], z, w[None], t[None])
+    integral = _inner_values(a[1:], b[1:], z, *matrices)
     pre = complex_gamma(b[0]) / (complex_gamma(a[0]) * complex_gamma(b[0] - a[0]))
     return complex(pre * integral), hyper.component_series(a, b, z)[0]
 
@@ -401,10 +458,10 @@ def euler_integral(
     _positive_components(b1 - a1, "beta[0] - alpha[0]")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    rules = _component_rules(
-        curve.nodes, [[(a - 1.0, b - a - 1.0)] for _, a, b in components(a1, b1)]
+    matrices = _component_matrices(
+        curve.nodes, [[(a - 1.0, b - a - 1.0)] for _, a, b in components(a1, b1)], 1.0
     )
-    return make_report(per_component(_euler_comp, params, z, rules), tol)
+    return make_report(per_component(_euler_comp, params, z, matrices), tol)
 
 
 def _laplace_comp(a, b, z, v, rules):
@@ -452,17 +509,16 @@ def laplace_integral(
     return make_report(per_component(_laplace_comp, params, z, v, rules), tol)
 
 
-def _double_comp(a, b, z, m, n, rules):
+def _double_comp(a, b, z, m, n, matrices):
     """Component worker: (unit-square quadrature, series) at z.
 
     The tensor rule's sum over the node grid, sum_ij wu_i wv_j
     F(z (1-tu_i) (1-tv_j)), is taken termwise as sum_k c_k z^k U_k V_k
-    over the two rules' moments (``_inner_values`` on the two-row
-    stack): O(nK) work for K terms where the grid takes O(n^2 K).
+    over the two rules' moments (``_inner_values`` on the two matrices
+    of bases 1 - t): O(nK) work for K terms where the grid takes
+    O(n^2 K).
     """
-    # weights u^(m-1) (1-u)^n and v^(n-1)
-    (tu, wu), (tv, wv) = rules
-    lhs = _inner_values(a, b, z, np.stack((wu, wv)), np.stack((1.0 - tu, 1.0 - tv)))
+    lhs = _inner_values(a, b, z, *matrices)
     pre = complex_gamma(m) * complex_gamma(n) / complex_gamma(m + n + 1.0)
     series = hyper.component_series(a + [1.0 + 0j], b + [m + n + 1.0], z)[0]
     return complex(lhs), complex(pre * series)
@@ -491,10 +547,11 @@ def double_integral(
     _positive_components(n, "n")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    rules = _component_rules(
-        curve.nodes, [[(mc - 1.0, nc), (nc - 1.0, 0.0)] for _, mc, nc in components(m, n)]
+    # weights u^(m-1) (1-u)^n and v^(n-1), over the bases 1 - u and 1 - v
+    matrices = _component_matrices(
+        curve.nodes, [[(mc - 1.0, nc), (nc - 1.0, 0.0)] for _, mc, nc in components(m, n)], -1.0
     )
-    return make_report(per_component(_double_comp, params, z, m, n, rules), tol)
+    return make_report(per_component(_double_comp, params, z, m, n, matrices), tol)
 
 
 def beta_product_check(m, n, k: int) -> IdentityReport:

@@ -105,8 +105,8 @@ def _representable(w) -> bool:
 
 
 class TestMomentSum:
-    """``series_sum`` over an (R, n) stack of rules, each term weighted
-    by the product of the rules' moments."""
+    """``series_sum`` over a stack of R rules, each term weighted by the
+    product of the rules' moments: node rules, or Jacobi matrices."""
 
     # one or two one-node rules of unit weight and base: every moment is
     # 1, so the terms, stop point and status are the plain sum's, bit for bit
@@ -134,6 +134,34 @@ class TestMomentSum:
             got, terms, _, status = kernels.series_sum(a, b, z, None, 2, unit, unit)
             assert _same_bits(complex(got), complex(want)), len(unit)
             assert terms == 3 and status == kernels.STATUS_OK
+
+    @pytest.mark.parametrize("rules", [1, 2])
+    def test_matrix_stack_is_its_eigen_rule(self, rng, rules):
+        # a real symmetric tridiagonal B with spectrum in (0, 1) and the
+        # node rule of its eigendecomposition: nodes the eigenvalues,
+        # weights mass v_0i^2; their moments mass (B^k)_00 agree for every k
+        n, mass = 24, 0.8
+        diag = rng.uniform(0.3, 0.7, (rules, n))
+        off = rng.uniform(0.01, 0.05, (rules, n - 1))
+        start = np.zeros((rules, n), dtype=np.complex128)
+        start[:, 0] = mass
+        step = np.stack((diag, np.pad(off, ((0, 0), (0, 1)))), axis=1).astype(np.complex128)
+        weights, bases = np.empty((rules, n)), np.empty((rules, n))
+        for r in range(rules):
+            dense = np.diag(diag[r]) + np.diag(np.sqrt(off[r]), 1) + np.diag(np.sqrt(off[r]), -1)
+            bases[r], vectors = np.linalg.eigh(dense)
+            weights[r] = mass * vectors[0] ** 2
+        for z in (0.9, -0.7 + 0.5j):
+            for tol, cap in ((1e-15, 10_000), (None, 40)):
+                got, _, tail, status = kernels.series_sum(
+                    GAUSS_A, GAUSS_B, z, tol, cap, start, step
+                )
+                want, _, _, want_status = kernels.series_sum(
+                    GAUSS_A, GAUSS_B, z, tol, cap, weights, bases
+                )
+                assert abs(got - want) <= 1e-14 * abs(want), (z, tol, abs(got - want))
+                assert status == want_status == kernels.STATUS_OK
+                assert tail == 0.0 if tol is None else math.isnan(tail)
 
     def test_tail_is_nan(self):
         # _tail majorises the plain series, not the moment-weighted one

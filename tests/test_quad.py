@@ -290,35 +290,94 @@ class TestPinnedRuleBits:
         assert [float(v).hex() for v in w] == want["w"]
 
 
+class TestJacobiMatrixMoments:
+    """Euler and double sum over the moments mass (B^k)_00 of the n x n
+    matrices B = (I +- J) / 2 that ``_component_matrices`` builds, J
+    the rule's Jacobi matrix: the n-node Gauss rule's own sums
+    sum_i w_i b_i^k over its bases b = t or 1 - t, for every k."""
+
+    @staticmethod
+    def _matrix_moments(n, B, A, sign, count):
+        """mass (B^k)_00 for k < count, by dense products with the
+        symmetric matrix of the built diagonal and squared off-diagonal."""
+        (start, step), _ = quad._component_matrices(n, [[(B, A)], []], sign)
+        off = np.sqrt(step[0, 1, :-1])
+        dense = np.diag(step[0, 0]) + np.diag(off, 1) + np.diag(off, -1)
+        state, out = start[0], []
+        for _ in range(count):
+            out.append(state[0])
+            state = dense @ state
+        return np.array(out)
+
+    @staticmethod
+    def _box_pairs(rng, count):
+        """(B, A) from the boxes the thm3.1/3.8 samplers' rules reach."""
+        return [
+            (complex(rng.uniform(-0.7, 1.5), rng.uniform(-0.4, 0.4)),
+             complex(rng.uniform(-0.7, 2.2), rng.uniform(-0.4, 0.4)))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["t", "one_minus_t"])
+    def test_matrix_moments_are_the_rule_sums(self, n, sign):
+        for B, A in self._box_pairs(np.random.default_rng(n), 4):
+            t, w = jacobi_rule_01(n, B, A)
+            bases, running, want = (t if sign > 0 else 1.0 - t), w.copy(), []
+            for _ in range(3 * n):
+                want.append(running.sum())
+                running = running * bases
+            got = self._matrix_moments(n, B, A, sign, 3 * n)
+            err = np.abs(got - want) / np.abs(want)
+            assert np.max(err) <= 1e-13, (B, A, int(np.argmax(err)), np.max(err))
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["t", "one_minus_t"])
+    def test_matrix_moments_match_beta_values(self, n, sign):
+        # the last pair is the large imaginary one where the rule's own
+        # moments are off by up to 7.8e-12
+        pairs = self._box_pairs(np.random.default_rng(100 + n), 2) + [(0.5 + 3j, 0.2 - 3j)]
+        for B, A in pairs:
+            got = self._matrix_moments(n, B, A, sign, 2 * n)
+            for k in range(2 * n):
+                want = _beta_moment(B, A, k) if sign > 0 else _beta_moment(A, B, k)
+                assert abs(got[k] - want) <= 1e-13 * abs(want), (B, A, k)
+
+
 class TestOneStackedRuleCall:
-    """Each representation builds all its Gauss rules in one call."""
+    """Each representation builds all its Gauss rules' Jacobi matrices in
+    one stacked call.  Euler and double sum over the matrices and solve
+    for no nodes; Laplace and the beta product solve them in one
+    ``jacobi_rule_01`` call."""
 
     @pytest.mark.parametrize(
-        "run",
+        "run, rule_calls",
         [
-            lambda: euler_integral(PfqParams([0.8, 1.1], [2.3]), BiComplex(0.2, 0.1)),
-            lambda: laplace_integral(
+            (lambda: euler_integral(PfqParams([0.8, 1.1], [2.3]), BiComplex(0.2, 0.1)), 0),
+            (lambda: laplace_integral(
                 from_idempotent(2.5, 1.5), PfqParams([1.1], [1.8]), BiComplex(0.3, 0.05)
-            ),
-            lambda: double_integral(
+            ), 1),
+            (lambda: double_integral(
                 BiComplex(1.2, 0.1), 2.0, PfqParams([0.7, 1.2], [1.9]), BiComplex(0.1, 0.05),
                 ProductCurve(CurveKind.UNIT_INTERVAL, 128),
-            ),
-            lambda: beta_product_check(from_idempotent(1.4, 0.9), BiComplex(1.1, 0.2), 3),
+            ), 0),
+            (lambda: beta_product_check(from_idempotent(1.4, 0.9), BiComplex(1.1, 0.2), 3), 1),
         ],
         ids=["euler", "laplace", "double", "beta_product"],
     )
-    def test_one_jacobi_rule_call(self, monkeypatch, run):
-        calls = []
-        build = quad.jacobi_rule_01
+    def test_one_jacobi_rule_call(self, monkeypatch, run, rule_calls):
+        # one _jacobi_stack call builds every matrix; jacobi_rule_01, when
+        # it runs, makes that call itself
+        calls = {"jacobi_rule_01": [], "_jacobi_stack": []}
+        for name, record in calls.items():
+            def counting(*args, build=getattr(quad, name), record=record):
+                record.append(args)
+                return build(*args)
 
-        def counting(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(quad, "jacobi_rule_01", counting)
+            monkeypatch.setattr(quad, name, counting)
         assert run().passed
-        assert len(calls) == 1
+        assert len(calls["_jacobi_stack"]) == 1
+        assert len(calls["jacobi_rule_01"]) == rule_calls
 
 
 def _integral_runs(params, nodes=128):
@@ -342,9 +401,10 @@ def _integral_runs(params, nodes=128):
 
 class TestInnerSeriesLanes:
     """Every integral representation sums its inner series over its
-    rules' moments: once per component, and twice for Laplace (its
-    [0, 1] rule and its Gauss-Laguerre tail).  No series kernel sees
-    more than n arguments, and the lockstep array kernel is not called."""
+    rules' moments: once per component over Jacobi matrices for Euler
+    and double, and twice over node rules for Laplace (its [0, 1] rule
+    and its Gauss-Laguerre tail).  No series kernel sees more than n
+    arguments, and the lockstep array kernel is not called."""
 
     KERNELS = ("series_sum", "series_sum_many", "series_sum_terminating")
 
@@ -358,9 +418,13 @@ class TestInnerSeriesLanes:
         called, sizes, inner_calls = [], [], []
         for name in self.KERNELS:
             def recording(a, b, z, *rest, name=name, kernel=getattr(kernels, name)):
-                # a series_sum call with an (R, n) rule stack is a moment sum
-                called.append("moment sum" if len(rest) > 2 else name)
-                # z, and the rows of the weight and base stacks
+                # a series_sum call with a rule stack (start, step) is a
+                # moment sum: over Jacobi matrices when the step is (R, 2, n)
+                if len(rest) > 2:
+                    called.append("matrix sum" if np.ndim(rest[3]) == 3 else "node sum")
+                else:
+                    called.append(name)
+                # z, and the rows of the start and step stacks
                 sizes.append(np.size(z))
                 sizes.extend(np.shape(x)[-1] for x in rest if np.ndim(x))
                 return kernel(a, b, z, *rest)
@@ -375,7 +439,8 @@ class TestInnerSeriesLanes:
         monkeypatch.setattr(quad, "_inner_values", recording_inner)
         assert _integral_runs(params)[integral]().passed
         assert len(inner_calls) == (4 if integral == "laplace" else 2)
-        assert called.count("moment sum") == len(inner_calls)
+        kind = "node sum" if integral == "laplace" else "matrix sum"
+        assert called.count(kind) == len(inner_calls)
         assert "series_sum_many" not in called
         assert max(sizes) <= 128, max(sizes)
 
@@ -388,7 +453,7 @@ class TestInnerSeriesLanes:
 
         def recording(*args):
             out = series_sum(*args)
-            if len(args) > 5:  # a moment sum: the call carries a rule stack
+            if len(args) > 5:  # a moment sum: the call carries a rule stack (start, step)
                 statuses.append(out[3])
             return out
 
@@ -449,6 +514,16 @@ class TestEuler:
         floor = 5e-12
         for lo, hi in zip(errs, errs[1:]):
             assert hi <= lo / 4.0 or lo <= floor, errs
+
+    def test_large_imaginary_exponents(self):
+        # the kernel's exponents are B = 0.5+3j, A = 0.2-3j in component 1,
+        # where the Gauss rule's moments are off by up to 7.8e-12 and the
+        # residual read 8.1e-12 when the sum ran over the rule's nodes
+        a1 = from_idempotent(1.5 + 3j, 1.2 + 0.2j)
+        b1 = a1 + from_idempotent(1.2 - 3j, 1.1 - 0.1j)
+        params = PfqParams([a1, from_idempotent(0.7, 0.9)], [b1, from_idempotent(1.9, 2.2)])
+        rep = euler_integral(params, from_idempotent(0.5 + 0.2j, 0.3))
+        assert rep.passed and rep.residual.max_comp() <= 1e-13
 
     def test_terminating_inner_series(self):
         # the integrand's series has numerator -2: a degree-2 polynomial in
@@ -590,10 +665,19 @@ class TestDouble:
         rep = double_integral(m, n, PfqParams([0.0], [1.5]), from_idempotent(0.5, 0.3))
         assert rep.passed and rep.residual.max_comp() < 1e-12
 
+    def test_large_imaginary_exponents(self):
+        # the rules' exponents are (0.5+3j, 0.7-3j) and (-0.3-3j, 0) in
+        # component 1
+        m = from_idempotent(1.5 + 3j, 1.2)
+        n = from_idempotent(0.7 - 3j, 0.9)
+        params = PfqParams([from_idempotent(0.7, 0.9)], [from_idempotent(1.9, 2.2)])
+        rep = double_integral(m, n, params, from_idempotent(0.5 + 0.2j, 0.3))
+        assert rep.passed and rep.residual.max_comp() <= 1e-13
+
     @pytest.mark.parametrize("nodes", [16, 64, 128])
     def test_moment_sum_is_the_node_grid_sum(self, monkeypatch, nodes):
-        # Each worker takes its rule sums termwise over the rules' moments.
-        # Its lhs must match the lhs built on the node-by-node sums of the
+        # Each worker takes its rule sums termwise over the rules' moments,
+        # Euler and double over their Jacobi matrices'.  Its lhs must match the lhs built on the node-by-node sums of the
         # array kernel over the same rules: sum_i w_i F(z t_i) for Euler;
         # for Laplace the [0, 1] piece sum_i w_i e^(-t_i) F(z t_i) and the
         # tail sum_l W_l F(z t_l) over the Gauss-Laguerre nodes t_l = 1 + u_l,
