@@ -5,11 +5,12 @@ exactly the pair of classical complex sums run on the component
 parameters, glued by e1/e2.  The two components are summed
 independently with independent truncation depths.
 
-``check_component`` is the one domain-and-pole gate: ``component_series``
-runs it on every classical component sum it takes, and
-``quad._inner_values`` on every quadrature rule sum, so a
-relation that sums shifted or halved parameter sets is gated by the
-sums themselves.
+``check_component`` is the one domain-and-pole gate, and
+``component_series`` the one gated sum: it runs the gate on every
+classical component sum it takes, plain or over a quadrature rule
+stack (``quad._inner_values`` is a single call of it), so a relation
+that sums shifted or halved parameter sets is gated by the sums
+themselves.
 ``check_domain`` is the same gate on both components of a bicomplex
 argument.  The convergence class of a parameter set is ``classify``'s
 answer; ``pfq`` does not compute it.
@@ -160,8 +161,7 @@ def classify(params: PfqParams) -> ConvergenceClass:
 def check_component(alphas, betas, z: complex, label: str = "") -> int | None:
     """The one gate of a classical component sum; returns its
     termination degree, the least n with a numerator parameter at -n
-    (None for an unending series).  For an array of arguments, pass
-    the largest modulus as `z`.
+    (None for an unending series).
 
     Raises InvalidParamsError when a denominator parameter sits at a
     nonpositive integer -m that the sum reaches: any m for an unending
@@ -207,18 +207,25 @@ def component_series(
     z: complex,
     tol: float = DEFAULT_TOL,
     cap: int = DEFAULT_CAP,
+    start=None,
+    step=None,
 ):
     """One classical component sum via the kernel, (value, terms, tail).
 
-    Gated by ``check_component`` before the kernel runs.  Terminating
-    series (nonpositive-integer numerator parameter) are summed exactly,
-    in their degree with no stop rule and tail 0.0.  A sum that hits the
-    cap or overflows raises NoConvergenceError.
+    Gated by ``check_component`` at |z| before the kernel runs.
+    Terminating series (nonpositive-integer numerator parameter) are
+    summed exactly, in their degree with no stop rule and tail 0.0.  A
+    sum that hits the cap or overflows raises NoConvergenceError.
+
+    Given a rule stack (start, step), the sum is taken termwise over
+    the rules' moments, as ``kernels.series_sum`` takes it, and its
+    tail is NaN.  The gate still reads |z|: the caller scales the bases
+    to modulus at most 1 and carries the scale in z.
     """
     z = complex(z)
     k = check_component(comp_alphas, comp_betas, z)
     tol, cap = (tol, cap) if k is None else (None, k)
-    value, n, tail, status = kernels.series_sum(comp_alphas, comp_betas, z, tol, cap)
+    value, n, tail, status = kernels.series_sum(comp_alphas, comp_betas, z, tol, cap, start, step)
     if status != kernels.STATUS_OK:
         raise NoConvergenceError(
             f"series did not meet the stop rule within {cap} terms at z = {z}"

@@ -427,31 +427,56 @@ def contiguous_beta_plus(
 
 
 def _ode_component(a, b, z, count):
-    """Residual and dropped-term bound of the theta-operator applied to
-    the degree-`count` truncation, on the coefficient sequence, at a z
-    inside the series region."""
+    """Residual and bound of the theta-operator applied to the
+    degree-`count` truncation, on the coefficient sequence, at a z
+    inside the series region.
+
+    The bound is the dropped term's magnitude D = |pa_count c_count
+    z^count| plus the float64 rounding gamma * S, where S is the sum of
+    the magnitudes of every product the residual adds, |pb_m c_{m+1}
+    z^m| and |pa_m c_m z^m| for m < count and D, and gamma = 8u with
+    u = 2^-53.  To first order in u, with no underflow:
+
+    - ``coeff_table`` makes c_{m+1} = c_m (pa_m / pb_m)(1 + d) from the
+      same pa_m, pb_m, one complex quotient (Smith's method, within
+      (5 + sqrt 2) u) and one product (within sqrt 5 u; Brent, Percival
+      and Zimmermann, Math. Comp. 76 (2007)), so the exact interior
+      coefficient pb_m c_{m+1} - pa_m c_m = pa_m c_m d is within
+      (5 + sqrt 2 + sqrt 5) u |pa_m c_m|, about 4.33 u of its share of S;
+    - the two products that form it round within sqrt 5 u of their
+      magnitudes, another 2.24 u of that share;
+    - the difference, the power z^m, the product with it and the
+      running sum act on quantities already O(u), which is O(u^2);
+    - the last subtraction of the dropped term rounds within u D.
+
+    That is at most 6.6 u S; gamma = 8u leaves the O(u^2) terms room.
+    """
     hyper.check_component(a, b, z)
     c = coeff_table(a, b, count)
     # residual polynomial: d/dz prod(theta + b - 1) - prod(theta + a) on
     # sum c_n z^n; the interior coefficients cancel to rounding, the
     # degree-count coefficient survives as -prod(count + a) * c_count.
     res = 0.0 + 0j
+    size = 0.0
     zpow = 1.0 + 0j
     for m in range(count):
         pa, pb = kernels.ratio_parts(a, b, m)
-        res += (pb * c[m + 1] - pa * c[m]) * zpow
+        hi, lo = pb * c[m + 1], pa * c[m]
+        res += (hi - lo) * zpow
+        size += (abs(hi) + abs(lo)) * abs(zpow)
         zpow *= z
     pa, _ = kernels.ratio_parts(a, b, count)
     res -= pa * c[count] * zpow
-    bound = abs(pa * c[count] * zpow)
-    return abs(res), bound
+    dropped = abs(pa * c[count] * zpow)
+    return abs(res), dropped + 8.0 * 2.0**-53 * (size + dropped)
 
 
 def ode_residual_with_bound(params: PfqParams, z: BiComplex, count: int):
-    """(residual, dropped-term bound), both hyperbolic, componentwise:
-    the magnitude of the differential operator applied to the
-    degree-`count` truncated series, via exact coefficient algebra, and
-    the magnitude of its one surviving dropped term."""
+    """(residual, bound), both hyperbolic, componentwise: the magnitude
+    of the differential operator applied to the degree-`count`
+    truncated series, via exact coefficient algebra, and the magnitude
+    of its one surviving dropped term plus the float64 rounding of the
+    residual (``_ode_component``)."""
     if count < 8:
         raise ValueError("truncation degree too small to be meaningful")
     (r1, m1), (r2, m2) = per_component(_ode_component, params, BiComplex.coerce(z), count)

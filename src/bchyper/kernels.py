@@ -14,7 +14,8 @@ takes its ratios from it:
   stop rule or over a fixed number of terms (a terminating series),
   plainly or termwise over the moments of a stack of quadrature rules,
   given by their nodes or by their Jacobi matrices.
-  Every function value, terminating sum and rule sum goes through it;
+  Every function value, terminating sum and rule sum goes through it,
+  by way of ``hyper.component_series``, the one gated sum;
 - ``series_sum_many`` sums an array of arguments in lockstep with
   ``series_sum``'s stop rule and tail majorant ``_tail``.  The package
   no longer calls it: it is the node-by-node lane reference that the

@@ -42,8 +42,9 @@ matrices, are built first, in one stacked call (``_component_rules``,
 component's rows.
 
 Every representation sums its inner series the way the paper's proofs
-integrate it, term by term, through one gated path (``_inner_values``
-over ``kernels.series_sum`` with a rule stack): the rule sum
+integrate it, term by term, in one rule sum per component through the
+package's one gated path (``_inner_values``, a single
+``hyper.component_series`` call with a rule stack): the rule sum
 sum_i w_i F(z b_i) is taken as sum_k c_k z^k M_k over the rule's
 moments M_k = sum_i w_i b_i^k.  By Golub and Welsch these are
 mass (B^k)_00 for every k, B the rule's n x n Jacobi matrix in the
@@ -58,9 +59,10 @@ moments U_k and V_k in the bases 1 - t, the same quadrature in O(nK)
 work for K terms instead of O(n^2 K).
 The Laplace worker keeps its nodes: its [0, 1] rule carries e^(-t),
 not a polynomial in t (it would need the action of e^(-J)), and its
-Gauss-Laguerre tail needs them for its |z| t <= 700 cut.  It passes the
-[0, 1] piece of its rule (weights w e^(-t), bases t) and then its tail
-over scaled bases t / s in (0, 1], whose moments cannot overflow.
+Gauss-Laguerre tail needs them for its |z| t <= 700 cut.  It passes
+both rules as one node row at the argument z s, over the bases t / s
+in (0, 1], s the largest kept tail node, whose moments cannot
+overflow.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import hyper, kernels
+from . import hyper
 from .errors import DomainError, NoConvergenceError, PreconditionError
 from .gamma import complex_gamma, complex_pochhammer
 from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams, per_component
@@ -356,31 +358,22 @@ def _require_ball(z: BiComplex):
 
 def _inner_values(a, b, z, start, step):
     """The component series summed over the tensor product of a stack
-    of R rules: sum_k c_k z^k prod_r M_rk over the rules' moments M_rk
-    (``kernels.series_sum`` with the stack), which is the rule sum of
-    F(z prod_r b_r) over the nodes b_r taken termwise.  The stack is
-    node rules, (R, n) weights and bases, or Jacobi matrices, mass * e_0
-    and (R, 2, n) diagonals and squared off-diagonals, as ``series_sum``
-    takes them.
+    of R rules: sum_k c_k z^k prod_r M_rk over the rules' moments M_rk,
+    which is the rule sum of F(z prod_r b_r) over the nodes b_r taken
+    termwise.  The stack is node rules, (R, n) weights and bases, or
+    Jacobi matrices, mass * e_0 and (R, 2, n) diagonals and squared
+    off-diagonals, as ``kernels.series_sum`` takes them.
 
-    The gate runs once, on the largest argument the rule sum reaches:
-    |z| prod_r max|bases[r]| over node rules, and |z| over matrices,
-    whose bases are the nodes of Gauss rules on [0, 1], of modulus at
-    most 1 on the real path (0.99997 at most over seeded rules from
-    the verify samplers' box of complex exponents; 1.0003 at imaginary
-    parts near 3).  A terminating series is summed in exactly its
-    degree; an unending one to the package's stop rule, and reaching
-    the term cap raises NoConvergenceError.
+    One ``hyper.component_series`` call at the package's stop rule and
+    term cap, so the sum is gated, terminated and checked as every
+    component sum is; the benchmark traces the rule sums by this name.
+    The gate reads |z|: the bases are the nodes of Gauss rules on
+    [0, 1], of modulus at most 1 on the real path (0.99997 at most over
+    seeded rules from the verify samplers' box of complex exponents;
+    1.0003 at imaginary parts near 3), or the Laplace bases scaled into
+    (0, 1].
     """
-    radius = abs(z)
-    if np.ndim(step) == 2:
-        radius *= float(np.prod(np.max(np.abs(step), axis=1)))
-    k = hyper.check_component(a, b, radius)
-    tol, cap = (DEFAULT_TOL, DEFAULT_CAP) if k is None else (None, k)
-    value, _, _, status = kernels.series_sum(a, b, z, tol, cap, start, step)
-    if status != kernels.STATUS_OK:
-        raise NoConvergenceError("inner series hit the term cap inside the quadrature")
-    return value
+    return hyper.component_series(a, b, z, DEFAULT_TOL, DEFAULT_CAP, start, step)[0]
 
 
 class _PerComponent(NamedTuple):
@@ -465,20 +458,25 @@ def euler_integral(
 
 
 def _laplace_comp(a, b, z, v, rules):
-    """Component worker: (exponential-kernel quadrature, series) at z."""
-    # [0, 1]: the complex-exponent endpoint is part of the weight.
+    """Component worker: (exponential-kernel quadrature, series) at z.
+
+    The half line is split at t = 1.  On [0, 1] the complex-exponent
+    endpoint is part of the weight of the rule (t1, w1), which leaves
+    e^(-t1) in the integrand.  On [1, inf) plain Gauss-Laguerre after
+    t = 1 + u takes the nodes with |z| t <= 700, where F(z t) and the
+    factors c_k (z s)^k of the scaled sum stay below about e^700; its
+    weights e^(-1) wl t^(v-1) carry the shift.  The two rules are one
+    node row at the argument z s, over the bases t / s in (0, 1] with
+    s the largest kept tail node, so one rule sum covers the half line.
+    """
     [(t1, w1)] = rules
-    piece1 = _inner_values(a, b, z, (w1 * np.exp(-t1))[None], t1[None])
-    # [1, inf): plain Gauss-Laguerre after t = 1 + u, over the nodes with
-    # |z| t <= 700, where F(z t) and the factors c_k (z s)^k of the
-    # scaled sum stay below about e^700.  The argument z s carries the
-    # scale of the bases t / s, s the largest kept node.
     u, wl = _laguerre_rule(len(t1))
     keep = abs(z) * (1.0 + u) <= 700.0
     t, wl = 1.0 + u[keep], wl[keep]
     s = t.max()
-    piece2 = _inner_values(a, b, z * s, (wl * t ** (v - 1.0))[None], (t / s)[None])
-    lhs = complex((piece1 + piece2 * math.exp(-1.0)) / complex_gamma(v))
+    weights = np.concatenate((w1 * np.exp(-t1), math.exp(-1.0) * wl * t ** (v - 1.0)))
+    bases = np.concatenate((t1, t)) / s
+    lhs = complex(_inner_values(a, b, z * s, weights[None], bases[None]) / complex_gamma(v))
     return lhs, hyper.component_series([v] + a, b, z)[0]
 
 

@@ -1,11 +1,14 @@
 """Nothing in the package is dead weight.
 
-Two scans over ``src/bchyper`` with ``ast``:
+Three scans over ``src/bchyper`` with ``ast``:
 
 - every module uses each name it imports (``__init__`` re-exports, so
   it is exempt);
 - every function, method, class and module constant is named somewhere
-  in ``src``, ``tests`` or ``perfbench`` outside its own definition.
+  in ``src``, ``tests`` or ``perfbench`` outside its own definition;
+- ``kernels.series_sum`` is named only inside ``hyper.component_series``,
+  the one gated sum, and ``kernels.series_sum_terminating``, so no
+  other code sums a series without the gate and the cap check.
 
 A use is a name, an attribute, an imported name, a keyword argument,
 or an identifier inside a string that is not a docstring (``perfbench``
@@ -112,3 +115,35 @@ def test_every_definition_is_named_elsewhere():
             if not outside:
                 dead.append(f"{path.name}:{first} {name}")
     assert not dead, f"defined but never named elsewhere: {dead}"
+
+
+# (module, function) pairs allowed to name kernels.series_sum
+SUM_CALLERS = {("hyper.py", "component_series"), ("kernels.py", "series_sum_terminating")}
+
+
+def _enclosing(tree: ast.Module):
+    """(node, name of its outermost enclosing function or None)."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            yield child, inner
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def test_only_the_gated_sum_calls_series_sum():
+    # a name, an attribute or an import of series_sum (an import under
+    # another name is caught at the import)
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, owner in _enclosing(_parse(path)):
+            if (
+                (isinstance(node, ast.Name) and node.id == "series_sum")
+                or (isinstance(node, ast.Attribute) and node.attr == "series_sum")
+                or (isinstance(node, ast.alias) and node.name == "series_sum")
+            ):
+                found.add((path.name, owner))
+    assert found == SUM_CALLERS, f"kernels.series_sum named in {sorted(found, key=str)}"

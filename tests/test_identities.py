@@ -306,8 +306,18 @@ class TestOde:
         resid, bound = ode_residual_with_bound(GAUSS, from_idempotent(0.8, 0.7), 24)
         # at a large argument with a short truncation, the dropped term dominates
         assert bound.comp1 > 1e-8
-        assert resid.comp1 <= bound.comp1 * (1 + 1e-6) + 1e-12
-        assert resid.comp2 <= bound.comp2 * (1 + 1e-6) + 1e-12
+        assert resid.comp1 <= bound.comp1
+        assert resid.comp2 <= bound.comp2
+
+    def test_bound_covers_rounding(self):
+        # a component whose residual exceeds the dropped term alone by
+        # 6.4e-14 (1.38872e-10 against 1.38808e-10): the float64 rounding
+        # of the residual, which the bound must carry
+        a = [2.1958256191415275 + 0.1775082028199101j, 1.8171371185917011 - 0.22438862297056872j]
+        b = [0.4159957720235834 - 0.32011673784855027j]
+        z = -0.2733473424750344 - 0.413658053072904j
+        resid, bound = identities._ode_component(a, b, z, 60)
+        assert 1.3887e-10 < resid <= bound < 1.5e-10
 
     def test_coefficient_recurrence_ulps(self, rng):
         for _ in range(10):
