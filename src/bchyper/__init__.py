@@ -50,7 +50,6 @@ from .gamma import (
     bc_pochhammer,
     complex_gamma,
     complex_pochhammer,
-    gamma_product_oracle,
 )
 from .hyper import (
     ConvergenceClass,
@@ -83,7 +82,6 @@ from .identities import (
 from .quad import (
     CurveKind,
     ProductCurve,
-    beta_product_check,
     double_integral,
     euler_integral,
     laplace_integral,

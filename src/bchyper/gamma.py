@@ -5,14 +5,10 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import PoleError
 from .numbers import BiComplex, components
 
 POLE_TOL = 1e-12
-
-EULER_GAMMA = float(np.euler_gamma)
 
 # Stirling's series for log gamma (DLMF 5.11.1): the coefficients
 # B_2k / (2k (2k-1)), k = 1..10, of w^(1-2k).
@@ -131,26 +127,3 @@ def complex_pochhammer(a, n: int) -> complex:
     for k in range(n):
         out = out * (a + k)
     return out
-
-
-def gamma_product_oracle(z: BiComplex, terms: int = 10**6) -> BiComplex:
-    """Truncated Weierstrass product, the slow cross-check for bc_gamma.
-
-    gamma(w) = exp(-euler_gamma*w)/w * prod_{n=1..N} (1 + w/n)^{-1} exp(w/n),
-    evaluated per idempotent component with the product folded into a
-    vectorized log sum.  Truncation error is about |w|^2 / (2*terms),
-    so 1e6 terms gives ~1e-5 near the origin.  Test use only.
-    """
-    if terms < 10**3:
-        raise ValueError("product oracle needs at least 1000 factors")
-    z = BiComplex.coerce(z)
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    parts = []
-    for s, comp in components(z):
-        if nearest_nonpositive_int(comp) is not None:
-            raise PoleError(f"gamma pole in idempotent component {s} at {comp}")
-        ratios = comp / n
-        log_factors = ratios - np.log1p(ratios.astype(np.complex128))
-        total = complex(np.sum(log_factors))
-        parts.append(np.exp(-EULER_GAMMA * comp) / comp * np.exp(total))
-    return BiComplex.from_idempotent(parts[0], parts[1])

@@ -18,6 +18,7 @@ answer; ``pfq`` does not compute it.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -76,6 +77,13 @@ class PfqParams:
     def __init__(self, alphas: Sequence, betas: Sequence):
         alphas = tuple(BiComplex.coerce(a) for a in alphas)
         betas = tuple(BiComplex.coerce(b) for b in betas)
+        p = len(alphas)
+        split = components(*alphas, *betas)
+        for s, *comps in split:
+            for j, comp in enumerate(comps):
+                if not cmath.isfinite(comp):
+                    name = f"alpha[{j}]" if j < p else f"beta[{j - p}]"
+                    raise InvalidParamsError(f"{name} component {s} = {comp} is not finite")
         for j, b in enumerate(betas):
             for s, comp in components(b):
                 if nearest_nonpositive_int(comp) is not None:
@@ -87,8 +95,6 @@ class PfqParams:
         # The component vectors, built once as tuples of Python complex.
         # They are not fields, so equality and hashing see only the
         # parameter values.
-        p = len(alphas)
-        split = components(*alphas, *betas)
         object.__setattr__(self, "_comp_alphas", tuple(c[1 : p + 1] for c in split))
         object.__setattr__(self, "_comp_betas", tuple(c[p + 1 :] for c in split))
 
@@ -163,20 +169,27 @@ def check_component(alphas, betas, z: complex, label: str = "") -> int | None:
     termination degree, the least n with a numerator parameter at -n
     (None for an unending series).
 
-    Raises InvalidParamsError when a denominator parameter sits at a
-    nonpositive integer -m that the sum reaches: any m for an unending
-    series, m below the degree for a terminating one.  Raises
-    DomainError when an unending series is taken outside the region
-    of its shape (p versus q); on the unit circle the series needs
-    Re(sum(betas) - sum(alphas)) > BOUNDARY_MARGIN, asked of this
-    component alone.  `label` names the component in the messages.
+    Raises InvalidParamsError for a parameter that is not finite, and
+    when a denominator parameter sits at a nonpositive integer -m that
+    the sum reaches: any m for an unending series, m below the degree
+    for a terminating one.  Raises DomainError for an argument that is
+    not finite, and when an unending series is taken outside the
+    region of its shape (p versus q); on the unit circle the series
+    needs Re(sum(betas) - sum(alphas)) > BOUNDARY_MARGIN, asked of
+    this component alone.  `label` names the component in the
+    messages.
     """
+    where = f" (component {label})" if label else ""
+    for w in (*alphas, *betas):
+        if not cmath.isfinite(w):
+            raise InvalidParamsError(f"parameter {w} is not finite{where}")
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z} is not finite{where}")
     k = None
     for a in alphas:
         n = nearest_nonpositive_int(a)
         if n is not None and (k is None or n < k):
             k = n
-    where = f" (component {label})" if label else ""
     for b in betas:
         m = nearest_nonpositive_int(b)
         if m is not None and (k is None or m < k):
@@ -358,9 +371,3 @@ def boundary_probe(params: PfqParams, z: BiComplex, cap: int = 20_000):
         raise ValueError(f"boundary_probe needs cap >= 2, got cap={cap}")
     z = BiComplex.coerce(z)
     return tuple(per_component(kernels.window_probe, params, z, cap, PROBE_WINDOW))
-
-
-def ratio_radius_estimate(comp_alphas, comp_betas, n: int) -> float:
-    """|a_n / a_{n+1}| term-ratio estimate of the convergence radius."""
-    r = abs(kernels.term_ratio(comp_alphas, comp_betas, n))
-    return math.inf if r == 0.0 else 1.0 / r

@@ -459,8 +459,17 @@ def _parse_inner_complex(s: str) -> complex:
     return total
 
 
+def _require_finite(value, what: str, text: str):
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} of bicomplex literal {text!r} is not finite")
+
+
 def parse_bicomplex(text: str) -> BiComplex:
-    """Parse cartesian "a+bi1+ci2+dk" or idempotent "x e1+y e2" literals."""
+    """Parse cartesian "a+bi1+ci2+dk" or idempotent "x e1+y e2" literals.
+
+    A coefficient, or a cartesian part of the result, that is not
+    finite (nan, inf, or beyond the float range) raises ValueError.
+    """
     s = text.replace(" ", "").replace("*", "")
     if not s:
         raise ValueError("empty bicomplex literal")
@@ -487,6 +496,7 @@ def parse_bicomplex(text: str) -> BiComplex:
             coeff = _parse_inner_complex(t[1:-1])
         else:
             coeff = complex(float(t))
+        _require_finite(coeff, f"coefficient {term!r}", text)
         coeff *= sign
         if unit == "e1":
             idem[1] += coeff
@@ -505,7 +515,9 @@ def parse_bicomplex(text: str) -> BiComplex:
                 raise ValueError(f"complex coefficient {term!r} needs a basis token")
             cart = cart + BiComplex(coeff, 0.0)
     if saw_idem:
-        return cart + BiComplex.from_idempotent(idem[1], idem[2])
+        cart = cart + BiComplex.from_idempotent(idem[1], idem[2])
+    _require_finite(cart.re1, "value", text)
+    _require_finite(cart.re2, "value", text)
     return cart
 
 

@@ -37,9 +37,9 @@ Each representation is a classical component worker (``_euler_comp``,
 one component; ``hyper.per_component`` runs it on both components and
 ``identities.make_report`` glues the pairs, as for every relation in
 ``identities``.  The Gauss rules of both components, or their Jacobi
-matrices, are built first, in one stacked call (``_component_rules``,
-``_component_matrices``), and each worker receives its own
-component's rows.
+matrices, are built first, in one stacked call (``jacobi_rule_01``
+for Laplace, ``_component_matrices`` for Euler and double), and each
+worker receives its own component's rows.
 
 Every representation sums its inner series the way the paper's proofs
 integrate it, term by term, in one rule sum per component through the
@@ -77,7 +77,7 @@ import numpy as np
 
 from . import hyper
 from .errors import DomainError, NoConvergenceError, PreconditionError
-from .gamma import complex_gamma, complex_pochhammer
+from .gamma import complex_gamma
 from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams, per_component
 from .identities import IdentityReport, make_report
 from .numbers import BiComplex, components
@@ -384,26 +384,13 @@ class _PerComponent(NamedTuple):
     idem2: object
 
 
-def _component_rules(nodes: int, exponents) -> _PerComponent:
-    """Every Gauss rule of both idempotent components, from one stacked
-    ``jacobi_rule_01`` call.
-
-    `exponents` holds, per component, the list of its rules'
-    (t_exp, one_minus_t_exp) pairs; the result holds, per component,
-    the list of their (t, w) rows.
-    """
-    one, two = exponents
-    t, w = jacobi_rule_01(nodes, *zip(*one, *two))
-    rules = list(zip(t, w))
-    return _PerComponent(rules[: len(one)], rules[len(one) :])
-
-
 def _component_matrices(nodes: int, exponents, sign: float) -> _PerComponent:
     """The Jacobi matrices of every Gauss rule of both idempotent
     components, from one stacked ``_jacobi_stack`` call, as the
     (start, step) stacks ``_inner_values`` takes.
 
-    `exponents` is as for ``_component_rules``.  Each rule of weight
+    `exponents` holds, per component, the list of its rules'
+    (t_exp, one_minus_t_exp) pairs.  Each rule of weight
     t^B (1-t)^A becomes the n x n matrix B = (I + sign J) / 2 of its
     bases t (sign 1) or 1 - t (sign -1), J its Jacobi matrix on
     [-1, 1]; B keeps J's squared off-diagonal divided by 4, whichever
@@ -457,7 +444,7 @@ def euler_integral(
     return make_report(per_component(_euler_comp, params, z, matrices), tol)
 
 
-def _laplace_comp(a, b, z, v, rules):
+def _laplace_comp(a, b, z, v, rule):
     """Component worker: (exponential-kernel quadrature, series) at z.
 
     The half line is split at t = 1.  On [0, 1] the complex-exponent
@@ -469,7 +456,7 @@ def _laplace_comp(a, b, z, v, rules):
     node row at the argument z s, over the bases t / s in (0, 1] with
     s the largest kept tail node, so one rule sum covers the half line.
     """
-    [(t1, w1)] = rules
+    t1, w1 = rule
     u, wl = _laguerre_rule(len(t1))
     keep = abs(z) * (1.0 + u) <= 700.0
     t, wl = 1.0 + u[keep], wl[keep]
@@ -503,7 +490,9 @@ def laplace_integral(
     _positive_components(v, "v")
     z = BiComplex.coerce(z)
     _require_ball(z)
-    rules = _component_rules(curve.nodes, [[(vc - 1.0, 0.0)] for _, vc in components(v)])
+    # both components' [0, 1] rules, weights t^(v - 1), in one stacked call
+    t, w = jacobi_rule_01(curve.nodes, (v.idem1 - 1.0, v.idem2 - 1.0), (0.0, 0.0))
+    rules = _PerComponent((t[0], w[0]), (t[1], w[1]))
     return make_report(per_component(_laplace_comp, params, z, v, rules), tol)
 
 
@@ -550,28 +539,3 @@ def double_integral(
         curve.nodes, [[(mc - 1.0, nc), (nc - 1.0, 0.0)] for _, mc, nc in components(m, n)], -1.0
     )
     return make_report(per_component(_double_comp, params, z, m, n, matrices), tol)
-
-
-def beta_product_check(m, n, k: int) -> IdentityReport:
-    """Gamma-ratio moment identity behind the double representation:
-    direct quadrature of the two beta factors (DEFAULT_NODES-point
-    rules) against the closed form, to a relative 1e-10."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    m = BiComplex.coerce(m)
-    n = BiComplex.coerce(n)
-    _positive_components(m, "m")
-    _positive_components(n, "n")
-    rules = _component_rules(
-        DEFAULT_NODES,
-        [[(mc - 1.0, nc + k), (nc - 1.0, float(k))] for _, mc, nc in components(m, n)],
-    )
-    sides = []
-    for _, mc, nc, ((_, wu), (_, wv)) in components(m, n, rules):
-        lhs = complex(np.sum(wu) * np.sum(wv))
-        rhs = complex(
-            complex_gamma(mc) * complex_gamma(nc) * complex_pochhammer(1.0, k)
-            / (complex_gamma(mc + nc + 1.0) * complex_pochhammer(mc + nc + 1.0, k))
-        )
-        sides.append((lhs, rhs))
-    return make_report(sides, 1e-10)

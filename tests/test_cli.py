@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from bchyper import BiComplex, Hyperbolic, IdentityReport, parse_bicomplex, verify
+from bchyper import BiComplex, Hyperbolic, IdentityReport, kernels, parse_bicomplex, verify
 from bchyper.cli import main
 
 
@@ -58,6 +59,27 @@ class TestEval:
             code, _, err = run_cli(capsys, "eval", "--pfq", "0,0", "--z", z)
             assert code == 1
             assert "parse error" in err
+
+    @pytest.mark.parametrize(
+        "flag, literal",
+        [("--z", "0.5+nani1"), ("--z", "1e309"), ("--z", "1e308+1e308"),
+         ("--z", "(1e400)e1"), ("--alphas", "nani1"), ("--alphas", "0.5+1e400e1")],
+    )
+    def test_non_finite_literal_is_a_parse_error(self, capsys, monkeypatch, flag, literal):
+        # refused by the parser, before any sum runs, and with no numpy
+        # warning on the way
+        def no_sum(*args):
+            raise AssertionError("the kernel ran on a non-finite value")
+
+        monkeypatch.setattr(kernels, "series_sum", no_sum)
+        values = {"--alphas": "0.5", "--betas": "1.5", "--z": "0.5", flag: literal}
+        argv = ["eval", "--pfq", "1,1"] + [f"{k}={v}" for k, v in values.items()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert literal in err and "not finite" in err
 
     def test_domain_error_reported(self, capsys):
         code, _, err = run_cli(

@@ -1,11 +1,16 @@
 """Nothing in the package is dead weight.
 
-Three scans over ``src/bchyper`` with ``ast``:
+Four scans over ``src/bchyper`` with ``ast``:
 
 - every module uses each name it imports (``__init__`` re-exports, so
   it is exempt);
 - every function, method, class and module constant is named somewhere
   in ``src``, ``tests`` or ``perfbench`` outside its own definition;
+- every module-level function, class and constant that ``__init__``
+  does not export is named somewhere in ``src`` outside its own
+  definition, so no code lives in the package only for the tests
+  (``TEST_ONLY`` lists the exceptions, each with its reason, and no
+  more);
 - ``kernels.series_sum`` is named only inside ``hyper.component_series``,
   the one gated sum, and ``kernels.series_sum_terminating``, so no
   other code sums a series without the gate and the cap check.
@@ -59,10 +64,10 @@ def _uses(tree: ast.Module):
                 yield word, node.lineno
 
 
-def _definitions(tree: ast.Module):
-    """(name, first line, last line) of every function, method, class
-    and module constant."""
-    for node in ast.walk(tree):
+def _definitions(tree: ast.Module, nested: bool = True):
+    """(name, first line, last line) of every function, class and module
+    constant, and with `nested` of every method and inner function."""
+    for node in ast.walk(tree) if nested else tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno
     for node in tree.body:
@@ -92,29 +97,53 @@ def test_every_import_is_used():
     assert not unused, f"imports the module never uses: {unused}"
 
 
-def test_every_definition_is_named_elsewhere():
-    files = [
-        path
-        for folder in ("src", "tests", "perfbench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-    ]
+def _unnamed(folders, nested: bool, exempt=frozenset()):
+    """"module:line name" of every definition in the package (see
+    ``_definitions``) that no file under `folders` names outside the
+    definition itself; dunder names and `exempt` are skipped."""
     uses = defaultdict(list)  # name -> [(path, line)]
-    trees = {}
-    for path in files:
-        trees[path] = _parse(path)
-        for name, line in _uses(trees[path]):
-            uses[name].append((path, line))
+    for folder in folders:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for name, line in _uses(_parse(path)):
+                uses[name].append((path, line))
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, first, last in _definitions(trees[path]):
-            if name.startswith("__") and name.endswith("__"):
+        for name, first, last in _definitions(_parse(path), nested):
+            if (name.startswith("__") and name.endswith("__")) or name in exempt:
                 continue
-            outside = [
-                (p, line) for p, line in uses[name] if p != path or not first <= line <= last
-            ]
-            if not outside:
+            if all(p == path and first <= line <= last for p, line in uses[name]):
                 dead.append(f"{path.name}:{first} {name}")
+    return dead
+
+
+def test_every_definition_is_named_elsewhere():
+    dead = _unnamed(("src", "tests", "perfbench"), nested=True)
     assert not dead, f"defined but never named elsewhere: {dead}"
+
+
+# Module-level names the package itself never uses, each with its reason.
+TEST_ONLY = {
+    "series_sum_many": "traced or read by perfbench; goes with ROADMAP item 11",
+    "series_sum_terminating": "traced or read by perfbench; goes with ROADMAP item 11",
+    "USE_NUMBA": "traced or read by perfbench; goes with ROADMAP item 11",
+}
+
+
+def test_package_runs_every_unexported_definition():
+    # what the package neither exports nor uses is there only for the
+    # tests or the benchmark; an exception that the package comes to
+    # use, or that is deleted, leaves TEST_ONLY too
+    tree = _parse(PACKAGE / "__init__.py")
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    dead = _unnamed(("src",), nested=False, exempt=exported)
+    assert {entry.split()[-1] for entry in dead} == TEST_ONLY.keys(), (
+        f"neither exported nor used in the package: {dead}; allowed: {sorted(TEST_ONLY)}"
+    )
 
 
 # (module, function) pairs allowed to name kernels.series_sum

@@ -12,7 +12,6 @@ from bchyper import (
     complex_gamma,
     complex_pochhammer,
     from_idempotent,
-    gamma_product_oracle,
 )
 from conftest import assert_bc_close, comp_rel_err
 
@@ -75,6 +74,24 @@ class TestBcGamma:
     def test_component_pole(self):
         with pytest.raises(PoleError):
             bc_gamma(from_idempotent(0.0, 1.0))
+
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(2791)
+        points = [from_idempotent(2.0, 3.0), from_idempotent(1.3 + 0.4j, 0.8 - 0.2j)] + [
+            from_idempotent(
+                complex(rng.uniform(0.2, 6), rng.uniform(-3, 3)),
+                complex(rng.uniform(-4.5, 0.5), rng.uniform(0.2, 3)),
+            )
+            for _ in range(200)
+        ]
+        for z in points:
+            # The value is stored in cartesian form, so each idempotent
+            # part carries a rounding error relative to the larger one.
+            got = bc_gamma(z)
+            want = [complex(mpmath.gamma(w)) for w in (z.idem1, z.idem2)]
+            scale = max(map(abs, want))
+            for part, w in zip((got.idem1, got.idem2), want):
+                assert abs(part - w) <= 1e-13 * scale, (z, part, w)
 
     def test_functional_equation(self, rng):
         # gamma(Z+1) = Z * gamma(Z) on random off-pole samples
@@ -141,36 +158,3 @@ class TestDuplicationIdentities:
             lhs = complex_pochhammer(a, 2 * k)
             rhs = 4.0**k * complex_pochhammer(a / 2, k) * complex_pochhammer((a + 1) / 2, k)
             assert comp_rel_err(lhs, rhs) < 1e-12
-
-
-class TestProductOracle:
-    def test_gamma_one(self):
-        got = gamma_product_oracle(BiComplex(1.0), 10**6)
-        assert abs(got.idem1 - 1.0) < 1e-5
-        assert abs(got.idem2 - 1.0) < 1e-5
-
-    def test_gamma_two(self):
-        got = gamma_product_oracle(BiComplex(2.0), 10**6)
-        assert abs(got.idem1 - 1.0) < 1e-5
-
-    def test_agrees_with_main_path(self):
-        z = from_idempotent(2.0, 3.0)
-        got = gamma_product_oracle(z, 10**6)
-        want = bc_gamma(z)
-        assert comp_rel_err(got.idem1, want.idem1) < 1e-4
-        assert comp_rel_err(got.idem2, want.idem2) < 1e-4
-
-    def test_complex_sample(self):
-        z = from_idempotent(1.3 + 0.4j, 0.8 - 0.2j)
-        got = gamma_product_oracle(z, 10**6)
-        want = bc_gamma(z)
-        assert comp_rel_err(got.idem1, want.idem1) < 1e-4
-        assert comp_rel_err(got.idem2, want.idem2) < 1e-4
-
-    def test_needs_enough_terms(self):
-        with pytest.raises(ValueError):
-            gamma_product_oracle(BiComplex(1.0), 10)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            gamma_product_oracle(from_idempotent(-3.0, 1.0), 10**4)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,8 +24,54 @@ from bchyper import (
     pfq,
     pfq_value,
 )
-from bchyper.hyper import ORACLE_BLOCK, boundary_probe, per_component, ratio_radius_estimate
+from bchyper import hyper, kernels
+from bchyper.hyper import (
+    ORACLE_BLOCK, boundary_probe, check_component, component_series, per_component,
+)
 from conftest import assert_bc_close, comp_rel_err
+
+
+def _must_not_run(*args):
+    raise AssertionError("ran on a non-finite value")
+
+
+class TestNonFiniteGate:
+    """``check_component`` refuses a non-finite argument or parameter
+    before the pole test or the kernel runs."""
+
+    NON_FINITE = [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, math.nan)]
+
+    @pytest.fixture(autouse=True)
+    def no_sum(self, monkeypatch):
+        monkeypatch.setattr(kernels, "series_sum", _must_not_run)
+
+    @pytest.fixture
+    def no_pole_test(self, monkeypatch):
+        monkeypatch.setattr(hyper, "nearest_nonpositive_int", _must_not_run)
+
+    @pytest.mark.parametrize("z", NON_FINITE)
+    def test_argument(self, no_pole_test, z):
+        with pytest.raises(DomainError, match="not finite"):
+            check_component([0.5], [1.5], z)
+        with pytest.raises(DomainError, match="not finite"):
+            component_series([0.5], [1.5], z)
+
+    @pytest.mark.parametrize("w", NON_FINITE)
+    def test_parameter(self, no_pole_test, w):
+        for alphas, betas in (([0.5, w], [1.5]), ([0.5], [w])):
+            with pytest.raises(InvalidParamsError, match="not finite"):
+                check_component(alphas, betas, 0.3)
+
+    @pytest.mark.parametrize(
+        "z",
+        [BiComplex(complex(math.nan, 0.0)), BiComplex(0.3, complex(0.0, math.inf)),
+         from_idempotent(0.3, complex(math.inf, 0.0)), BiComplex(1e308 + 1e308j, 1e308)],
+    )
+    def test_pfq_argument(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="not finite"):
+                pfq(PfqParams([0.5], [1.5]), z)
 
 
 class TestParams:
@@ -37,6 +84,17 @@ class TestParams:
             PfqParams([1.0], [from_idempotent(-2.0, 1.0)])
         with pytest.raises(InvalidParamsError):
             PfqParams([1.0], [0.0])
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, complex(0.5, math.inf), BiComplex(0.5, complex(-math.inf, 0.0))]
+    )
+    def test_non_finite_parameter_rejected(self, monkeypatch, value):
+        # refused at construction, before the pole test could choke on it
+        monkeypatch.setattr(hyper, "nearest_nonpositive_int", _must_not_run)
+        with pytest.raises(InvalidParamsError, match=r"alpha\[1\] .* not finite"):
+            PfqParams([0.5, value], [1.5])
+        with pytest.raises(InvalidParamsError, match=r"beta\[0\] .* not finite"):
+            PfqParams([0.5], [value])
 
     def test_negative_integer_alpha_allowed(self):
         PfqParams([-3.0], [1.5])  # terminating series are fine
@@ -329,10 +387,12 @@ class TestDomain:
 
 class TestRadiusLaw:
     def test_term_ratio_limits(self):
+        # |a_n / a_{n+1}| at large n estimates the convergence radius
         n = 400
-        entire = ratio_radius_estimate([0.7 + 0.1j], [1.9, 1.1], n)
-        ball = ratio_radius_estimate([0.7, 1.1], [1.9], n)
-        divergent = ratio_radius_estimate([0.7, 1.1, 0.9], [1.9], n)
+        entire, ball, divergent = (
+            1.0 / abs(kernels.term_ratio(a, b, n))
+            for a, b in (([0.7 + 0.1j], [1.9, 1.1]), ([0.7, 1.1], [1.9]), ([0.7, 1.1, 0.9], [1.9]))
+        )
         assert entire > 100.0
         assert abs(ball - 1.0) < 0.05
         assert divergent < 0.01

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -380,3 +381,25 @@ class TestSerialization:
         for text in ("1+", "1-", "-", "0.5e1+", "1++2", "1+-2", "1-+2", "+-1", "()e1"):
             with pytest.raises(ValueError):
                 parse_bicomplex(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nani1", "infi1", "1e309i1", "0.5+1e400e1", "(1e400)e1", "(1e400+0.5i1)e2",
+            "1e308+1e308", "1e309", "nan", "inf", "-inf", "1e308e1+1e308e2",
+        ],
+    )
+    def test_non_finite_literal_is_refused(self, text):
+        # a coefficient, or a cartesian part of the sum, beyond the float
+        # range or not a number; refused with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="is not finite") as info:
+                parse_bicomplex(text)
+        assert repr(text) in str(info.value)
+
+    def test_largest_finite_literals_parse(self):
+        top = 1.7976931348623157e308
+        assert parse_bicomplex("1.7976931348623157e308") == BiComplex(top)
+        assert parse_bicomplex("-1.7976931348623157e308i1") == BiComplex(-top * 1j)
+        assert parse_bicomplex("1e308+1e307") == BiComplex(1.1e308)

@@ -17,7 +17,6 @@ from bchyper import (
     PfqParams,
     PreconditionError,
     ProductCurve,
-    beta_product_check,
     double_integral,
     euler_integral,
     from_idempotent,
@@ -347,8 +346,7 @@ class TestJacobiMatrixMoments:
 class TestOneStackedRuleCall:
     """Each representation builds all its Gauss rules' Jacobi matrices in
     one stacked call.  Euler and double sum over the matrices and solve
-    for no nodes; Laplace and the beta product solve them in one
-    ``jacobi_rule_01`` call."""
+    for no nodes; Laplace solves them in one ``jacobi_rule_01`` call."""
 
     @pytest.mark.parametrize(
         "run, rule_calls",
@@ -361,9 +359,8 @@ class TestOneStackedRuleCall:
                 BiComplex(1.2, 0.1), 2.0, PfqParams([0.7, 1.2], [1.9]), BiComplex(0.1, 0.05),
                 ProductCurve(CurveKind.UNIT_INTERVAL, 128),
             ), 0),
-            (lambda: beta_product_check(from_idempotent(1.4, 0.9), BiComplex(1.1, 0.2), 3), 1),
         ],
-        ids=["euler", "laplace", "double", "beta_product"],
+        ids=["euler", "laplace", "double"],
     )
     def test_one_jacobi_rule_call(self, monkeypatch, run, rule_calls):
         # one _jacobi_stack call builds every matrix; jacobi_rule_01, when
@@ -825,21 +822,6 @@ class TestComponentwiseFactorization:
         diag = euler_integral(diag_params, BiComplex(z.idem1))
         assert abs(full.lhs.idem1 - diag.lhs.idem1) < 1e-13
         assert abs(full.rhs.idem1 - diag.rhs.idem1) < 1e-13
-
-
-class TestBetaProduct:
-    def test_moment_identity(self, rng):
-        for k in range(0, 11, 2):
-            m = from_idempotent(
-                complex(rng.uniform(0.4, 2.0), rng.uniform(-0.3, 0.3)),
-                complex(rng.uniform(0.4, 2.0), rng.uniform(-0.3, 0.3)),
-            )
-            n = from_idempotent(
-                complex(rng.uniform(0.4, 2.0), rng.uniform(-0.3, 0.3)),
-                complex(rng.uniform(0.4, 2.0), rng.uniform(-0.3, 0.3)),
-            )
-            rep = beta_product_check(m, n, k)
-            assert rep.passed, (k, rep.residual)
 
 
 class TestCurve:
