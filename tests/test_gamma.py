@@ -75,23 +75,30 @@ class TestBcGamma:
         with pytest.raises(PoleError):
             bc_gamma(from_idempotent(0.0, 1.0))
 
+    @staticmethod
+    def assert_matches_mpmath(z):
+        # The value is stored in cartesian form, so each idempotent part
+        # carries a rounding error relative to the larger one.
+        got = bc_gamma(z)
+        want = [complex(mpmath.gamma(w)) for w in (z.idem1, z.idem2)]
+        scale = max(map(abs, want))
+        for part, w in zip((got.idem1, got.idem2), want):
+            assert abs(part - w) <= 1e-13 * scale, (z, part, w)
+
+    def test_integer_components_against_mpmath(self):
+        self.assert_matches_mpmath(from_idempotent(2.0, 3.0))
+
+    def test_complex_components_against_mpmath(self):
+        self.assert_matches_mpmath(from_idempotent(1.3 + 0.4j, 0.8 - 0.2j))
+
     def test_against_mpmath(self):
         rng = np.random.default_rng(2791)
-        points = [from_idempotent(2.0, 3.0), from_idempotent(1.3 + 0.4j, 0.8 - 0.2j)] + [
-            from_idempotent(
+        for _ in range(200):
+            z = from_idempotent(
                 complex(rng.uniform(0.2, 6), rng.uniform(-3, 3)),
                 complex(rng.uniform(-4.5, 0.5), rng.uniform(0.2, 3)),
             )
-            for _ in range(200)
-        ]
-        for z in points:
-            # The value is stored in cartesian form, so each idempotent
-            # part carries a rounding error relative to the larger one.
-            got = bc_gamma(z)
-            want = [complex(mpmath.gamma(w)) for w in (z.idem1, z.idem2)]
-            scale = max(map(abs, want))
-            for part, w in zip((got.idem1, got.idem2), want):
-                assert abs(part - w) <= 1e-13 * scale, (z, part, w)
+            self.assert_matches_mpmath(z)
 
     def test_functional_equation(self, rng):
         # gamma(Z+1) = Z * gamma(Z) on random off-pole samples
