@@ -7,10 +7,10 @@ independently with independent truncation depths.
 
 ``check_component`` is the one domain-and-pole gate, and
 ``component_series`` the one gated sum: it runs the gate on every
-classical component sum it takes, plain or over a quadrature rule
-stack (``quad._inner_values`` is a single call of it), so a relation
-that sums shifted or halved parameter sets is gated by the sums
-themselves.
+classical component sum it takes, plain or over a sequence of moments
+that ``quad`` builds from its Gauss rules (``quad._inner_values`` is a
+single call of it), so a relation that sums shifted or halved
+parameter sets is gated by the sums themselves.
 ``check_domain`` is the same gate on both components of a bicomplex
 argument.  The convergence class of a parameter set is ``classify``'s
 answer; ``pfq`` does not compute it.
@@ -220,8 +220,7 @@ def component_series(
     z: complex,
     tol: float = DEFAULT_TOL,
     cap: int = DEFAULT_CAP,
-    start=None,
-    step=None,
+    moments=None,
 ):
     """One classical component sum via the kernel, (value, terms, tail).
 
@@ -230,15 +229,16 @@ def component_series(
     summed exactly, in their degree with no stop rule and tail 0.0.  A
     sum that hits the cap or overflows raises NoConvergenceError.
 
-    Given a rule stack (start, step), the sum is taken termwise over
-    the rules' moments, as ``kernels.series_sum`` takes it, and its
-    tail is NaN.  The gate still reads |z|: the caller scales the bases
-    to modulus at most 1 and carries the scale in z.
+    Given an iterator of moments M_0, M_1, ..., term k is weighted by
+    M_k, as ``kernels.series_sum`` takes it, and the tail is NaN.  The
+    gate still reads |z|: the caller builds moments that do not grow
+    with k (the moments of a rule whose bases have modulus at most 1)
+    and carries any scale in z.
     """
     z = complex(z)
     k = check_component(comp_alphas, comp_betas, z)
     tol, cap = (tol, cap) if k is None else (None, k)
-    value, n, tail, status = kernels.series_sum(comp_alphas, comp_betas, z, tol, cap, start, step)
+    value, n, tail, status = kernels.series_sum(comp_alphas, comp_betas, z, tol, cap, moments)
     if status != kernels.STATUS_OK:
         raise NoConvergenceError(
             f"series did not meet the stop rule within {cap} terms at z = {z}"

@@ -12,15 +12,15 @@ takes its ratios from it:
 
 - ``series_sum`` is the one scalar sum loop: at one argument, to the
   stop rule or over a fixed number of terms (a terminating series),
-  plainly or termwise over the moments of a stack of quadrature rules,
-  given by their nodes or by their Jacobi matrices.
-  Every function value, terminating sum and rule sum goes through it,
-  by way of ``hyper.component_series``, the one gated sum;
+  plainly or with each term weighted by the next of a sequence of
+  moments that the caller builds.  Every function value, terminating
+  sum and moment sum goes through it, by way of
+  ``hyper.component_series``, the one gated sum;
 - ``series_sum_many`` sums an array of arguments in lockstep with
   ``series_sum``'s stop rule and tail majorant ``_tail``.  The package
-  no longer calls it: it is the node-by-node lane reference that the
-  tests check the rule sums against.  The benchmark traces it, and
-  ``series_sum_terminating``, a fixed-length ``series_sum``;
+  no longer calls it: it is the argument-by-argument reference that
+  the tests check the moment sums against.  The benchmark traces it,
+  and ``series_sum_terminating``, a fixed-length ``series_sum``;
 - ``coeff_table`` and ``term_ratio`` give the coefficients and one
   ratio;
 - ``window_probe`` takes all ratios at once over an index array.
@@ -39,8 +39,6 @@ terms.  Status codes: 0 = stop rule met, 1 = cap reached.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -81,7 +79,7 @@ def _tail(alphas, betas, z, term, n):
     return np.where(below, tail, np.inf)
 
 
-def series_sum(alphas, betas, z, tol, cap, start=None, step=None):
+def series_sum(alphas, betas, z, tol, cap, moments=None):
     """Truncated sum of the component series at argument z.
 
     Stops once three consecutive terms fall below tol * |partial sum|
@@ -91,56 +89,20 @@ def series_sum(alphas, betas, z, tol, cap, start=None, step=None):
     0.0.  Returns (value, terms_used, tail_estimate, status); the tail
     is ``_tail``, and inf at the cap.
 
-    Given a stack of R quadrature rules, term k is c_k z^k prod_r M_rk
-    over the rules' k-th moments M_rk, which a state of R length-n rows
-    carries from one term to the next.  This is the series summed over
-    the tensor product of the rules, taken termwise: n lanes per rule
-    where the node grid takes n^R.  The stack comes in one of two forms:
-
-    - node rules: start the (R, n) weights and step the (R, n) bases.
-      Each term multiplies the state by the bases, and M_rk is the row
-      sum of weights * bases**k;
-    - Jacobi matrices: start the (R, n) state mass * e_0 and step the
-      (R, 2, n) diagonals and squared off-diagonals (the last entry
-      unused) of R symmetric tridiagonal n x n matrices B_r.  Each term
-      multiplies the state by B_r, and M_rk is its entry 0, mass (B_r^k)_00,
-      which is the n-node Gauss rule's moment for every k (Golub and
-      Welsch).  The product runs on D^-1 B_r D for the diagonal D with
-      D_00 = 1 that puts 1/4 below the diagonal and 4 times the squared
-      off-diagonal above it, so no square root or sign is taken.
-
-    The stop rule applies to the weighted terms.  ``_tail`` majorises
-    only the plain series, so a rule sum's tail is NaN.
+    Given an iterator of moments M_0, M_1, ..., term k is c_k z^k M_k,
+    and the sum takes exactly terms_used of them.  The stop rule
+    applies to these terms.  ``_tail`` majorises only the plain series,
+    so a moment sum's tail is NaN.
     """
-    matrices = step is not None and np.ndim(step) == 3
     coeff = 1.0 + 0.0j
-    if matrices:
-        # the state between two zero columns: the product's three
-        # diagonals meet three fixed views of it
-        rows, size = np.shape(start)
-        state = np.zeros((rows, size + 2), dtype=np.complex128)
-        entries, after, before = state[:, 1:-1], state[:, 2:], state[:, :-2]
-        entries[...] = start
-        diag, upper = step[:, 0], 4.0 * step[:, 1]
-        total = math.prod(state[:, 1])
-    else:
-        state = None if start is None else np.array(start, dtype=np.complex128)
-        total = coeff if state is None else math.prod(state.sum(axis=1))
+    total = coeff if moments is None else next(moments)
     below = 0
     n = 0
     while n < cap:
         num, den = ratio_parts(alphas, betas, n)
         coeff = term = coeff * (z * (np.complex128(num) / den))
-        if state is not None:  # plain sums make no numpy call per term
-            if matrices:
-                product = diag * entries
-                product += upper * after
-                product += 0.25 * before
-                entries[...] = product
-                term = coeff * math.prod(state[:, 1])
-            else:
-                state *= step
-                term = coeff * math.prod(state.sum(axis=1))
+        if moments is not None:
+            term = coeff * next(moments)
         total = total + term
         n += 1
         if tol is None:
@@ -148,7 +110,7 @@ def series_sum(alphas, betas, z, tol, cap, start=None, step=None):
         if abs(term) <= tol * abs(total):
             below += 1
             if below >= 3 and n >= MIN_TERMS:
-                tail = np.nan if state is not None else float(_tail(alphas, betas, z, term, n))
+                tail = np.nan if moments is not None else float(_tail(alphas, betas, z, term, n))
                 return total, n + 1, tail, STATUS_OK
         else:
             below = 0

@@ -44,22 +44,26 @@ worker receives its own component's rows.
 Every representation sums its inner series the way the paper's proofs
 integrate it, term by term, in one rule sum per component through the
 package's one gated path (``_inner_values``, a single
-``hyper.component_series`` call with a rule stack): the rule sum
-sum_i w_i F(z b_i) is taken as sum_k c_k z^k M_k over the rule's
-moments M_k = sum_i w_i b_i^k.  By Golub and Welsch these are
-mass (B^k)_00 for every k, B the rule's n x n Jacobi matrix in the
-bases b, so the Euler and double workers solve for no nodes: each
-term takes one tridiagonal product of the state mass e_0 with
-B = (I + J) / 2 (Euler, bases t) or (I - J) / 2 (double, bases 1 - t),
-J the matrix on [-1, 1], and the gate reads |z|, as the bases have
-modulus at most 1 on [0, 1].  The double representation never forms
-its n x n node grid: the tensor rule's sum sum_ij wu_i wv_j
-F(z (1-tu_i) (1-tv_j)) is sum_k c_k z^k U_k V_k over the two rules'
-moments U_k and V_k in the bases 1 - t, the same quadrature in O(nK)
-work for K terms instead of O(n^2 K).
+``hyper.component_series`` call): the rule sum sum_i w_i F(z b_i) is
+taken as sum_k c_k z^k M_k over the rule's moments
+M_k = sum_i w_i b_i^k.  The series kernel sums any moment sequence;
+this module alone builds them, with two generators that yield M_k as
+the kernel asks for term k.  ``_node_moments`` multiplies a node
+rule's weights by its bases.  ``_matrix_moments`` takes them as
+mass (B^k)_00, which by Golub and Welsch they are for every k, B the
+rule's n x n Jacobi matrix in the bases b, so the Euler and double
+workers solve for no nodes: each moment takes one tridiagonal product
+of the state mass e_0 with B = (I + J) / 2 (Euler, bases t) or
+(I - J) / 2 (double, bases 1 - t), J the matrix on [-1, 1], and the
+gate reads |z|, as the bases have modulus at most 1 on [0, 1].  The
+double representation never forms its n x n node grid: the tensor
+rule's sum sum_ij wu_i wv_j F(z (1-tu_i) (1-tv_j)) is
+sum_k c_k z^k U_k V_k over the two rules' moments U_k and V_k in the
+bases 1 - t, the same quadrature in O(nK) work for K terms instead of
+O(n^2 K).
 The Laplace worker keeps its nodes: its [0, 1] rule carries e^(-t),
 not a polynomial in t (it would need the action of e^(-J)), and its
-Gauss-Laguerre tail needs them for its |z| t <= 700 cut.  It passes
+Gauss-Laguerre tail needs them for its |z| t <= 700 cut.  It sums
 both rules as one node row at the argument z s, over the bases t / s
 in (0, 1], s the largest kept tail node, whose moments cannot
 overflow.
@@ -67,6 +71,7 @@ overflow.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -76,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hyper
-from .errors import DomainError, NoConvergenceError, PreconditionError
+from .errors import DomainError, InvalidParamsError, NoConvergenceError, PreconditionError
 from .gamma import complex_gamma
 from .hyper import DEFAULT_CAP, DEFAULT_TOL, PfqParams, per_component
 from .identities import IdentityReport, make_report
@@ -109,21 +114,29 @@ class ProductCurve:
 
 
 def _jacobi_coefficients(n: int, alpha, beta):
-    """Diagonal and squared off-diagonal of the n x n Jacobi matrix for
-    the weight (1-x)^alpha (1+x)^beta on [-1, 1]; the exponents may be
-    real or complex."""
+    """Diagonals and squared off-diagonals, (R, n) and (R, n - 1), of the
+    n x n Jacobi matrices for the weights (1-x)^alpha (1+x)^beta on
+    [-1, 1], from (R, 1) columns of real or complex exponents.
+
+    Each row's first entries, (beta - alpha) / (alpha + beta + 2), the
+    numerator beta^2 - alpha^2 of the rest of the diagonal and the
+    first off-diagonal entry, are taken in Python complex, whose
+    division and powers round unlike numpy's.
+    """
+    heads = [(complex(a), complex(b)) for a, b in zip(alpha[:, 0], beta[:, 0])]
     ab = alpha + beta
     k = np.arange(1, n, dtype=np.float64)
     diag = np.concatenate((
-        [(beta - alpha) / (ab + 2.0)],
-        (beta**2 - alpha**2) / ((2 * k + ab) * (2 * k + ab + 2.0)),
-    ))
+        [[(b - a) / (a + b + 2.0)] for a, b in heads],
+        np.array([[b**2 - a**2] for a, b in heads]) / ((2 * k + ab) * (2 * k + ab + 2.0)),
+    ), axis=1)
     k = k[1:]
     off = np.concatenate((
-        [4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))],
+        [[4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + (a + b)) ** 2 * (3.0 + (a + b)))]
+         for a, b in heads],
         4.0 * k * (k + alpha) * (k + beta) * (k + ab)
         / ((2 * k + ab) ** 2 * (2 * k + ab + 1.0) * (2 * k + ab - 1.0)),
-    ))[: n - 1]
+    ), axis=1)[:, : n - 1]
     return diag, off
 
 
@@ -225,8 +238,8 @@ def _jacobi_stack(n: int, t_exp, one_minus_t_exp):
     sequences of R exponents B = t_exp and A = one_minus_t_exp (real
     part > -1).
 
-    Returns (betas, alphas, mass, diag, off): the exponents as lists of
-    R complex numbers, the (R, 1) masses B(A+1, B+1) and the (R, n)
+    Returns (betas, alphas, mass, diag, off): the exponents as (R, 1)
+    complex columns, the (R, 1) masses B(A+1, B+1) and the (R, n)
     diagonals and (R, n - 1) squared off-diagonals of the matrices J on
     [-1, 1] (``_jacobi_coefficients``).  ``jacobi_rule_01`` solves them
     for nodes; ``_component_matrices`` keeps them as matrices.
@@ -245,18 +258,14 @@ def _jacobi_stack(n: int, t_exp, one_minus_t_exp):
                 f"weight exponents must have real part > -1, got t_exp {beta}"
                 f" and one_minus_t_exp {alpha} in rule {r}"
             )
-    count = len(betas)
     # the weight's mass on [0, 1], B(A+1, B+1): Golub-Welsch's mu0 on
     # [-1, 1] times the 2^-(A+B+1) of the map t = (1+x)/2
     mass = np.array([
         [complex_gamma(a + 1.0) * complex_gamma(b + 1.0) / complex_gamma(a + b + 2.0)]
         for b, a in zip(betas, alphas)
     ])
-    diag = np.empty((count, n), dtype=np.complex128)
-    off = np.empty((count, n - 1), dtype=np.complex128)
-    for r, (beta, alpha) in enumerate(zip(betas, alphas)):
-        diag[r], off[r] = _jacobi_coefficients(n, alpha, beta)
-    return betas, alphas, mass, diag, off
+    betas, alphas = np.array(betas)[:, None], np.array(alphas)[:, None]
+    return betas, alphas, mass, *_jacobi_coefficients(n, alphas, betas)
 
 
 def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
@@ -273,7 +282,7 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
     betas, alphas, mass, diag, off = _jacobi_stack(n, t_exp, one_minus_t_exp)
     count = len(betas)
     sb = np.sqrt(off)
-    x = _asymptotic_nodes(n, np.array(alphas)[:, None], np.array(betas)[:, None])
+    x = _asymptotic_nodes(n, alphas, betas)
     # Aberth-Ehrlich steps from the asymptotic start on all nodes of the
     # rows still moving.  The repulsion sum keeps two nodes from settling
     # on the same root.
@@ -297,7 +306,7 @@ def jacobi_rule_01(n: int, t_exp, one_minus_t_exp):
         raise NoConvergenceError(
             f"Gauss rule nodes did not settle in {MAX_ABERTH_STEPS} Aberth steps: "
             + "; ".join(
-                f"t_exp {betas[r]}, one_minus_t_exp {alphas[r]}"
+                f"t_exp {complex(betas[r, 0])}, one_minus_t_exp {complex(alphas[r, 0])}"
                 f" (last correction {last[r]:.3e})"
                 for r in moving
             )
@@ -342,6 +351,8 @@ def _laguerre_rule(n: int):
 def _positive_components(value: BiComplex, name: str):
     value = BiComplex.coerce(value)
     for s, comp in components(value):
+        if not cmath.isfinite(comp):
+            raise InvalidParamsError(f"{name} must be finite, got {comp} in component {s}")
         if comp.real <= 0.0:
             raise PreconditionError(
                 f"{name} must have positive real part in both idempotent"
@@ -356,13 +367,48 @@ def _require_ball(z: BiComplex):
             raise DomainError(f"argument component {s} has modulus {abs(comp)} >= 1")
 
 
-def _inner_values(a, b, z, start, step):
-    """The component series summed over the tensor product of a stack
-    of R rules: sum_k c_k z^k prod_r M_rk over the rules' moments M_rk,
-    which is the rule sum of F(z prod_r b_r) over the nodes b_r taken
-    termwise.  The stack is node rules, (R, n) weights and bases, or
-    Jacobi matrices, mass * e_0 and (R, 2, n) diagonals and squared
-    off-diagonals, as ``kernels.series_sum`` takes them.
+def _node_moments(weights, bases):
+    """The moments sum_i w_i b_i^k, k = 0, 1, ..., of one node rule,
+    each from the last by one product with the bases."""
+    state = np.array(weights, dtype=np.complex128)
+    while True:
+        yield state.sum()
+        state *= bases
+
+
+def _matrix_moments(mass, diag, off):
+    """The moments prod_r mass_r (B_r^k)_00, k = 0, 1, ..., of a stack of
+    R symmetric tridiagonal n x n matrices B_r, given by their (R, 1)
+    masses, (R, n) diagonals and (R, n - 1) entries `off`, 4 times B_r's
+    squared off-diagonal: J's squared off-diagonal for B = (I +- J) / 2.
+
+    mass (B^k)_00 is the n-node Gauss rule's moment sum_i w_i b_i^k for
+    every k, B the rule's Jacobi matrix in the bases b (Golub and
+    Welsch), and the product over the stack is the moment of the
+    tensor-product rule.  Each moment takes one tridiagonal product of
+    the state mass e_0 with D^-1 B D, for the diagonal D with D_00 = 1
+    that puts 1/4 below the diagonal and `off` above it, so no square
+    root or sign is taken.
+    """
+    # the state between two zero columns: the product's three diagonals
+    # meet three fixed views of it
+    state = np.zeros((len(diag), diag.shape[1] + 2), dtype=np.complex128)
+    entries, after, before = state[:, 1:-1], state[:, 2:], state[:, :-2]
+    entries[:, :1] = mass
+    upper = np.zeros_like(entries)
+    upper[:, :-1] = off
+    while True:
+        yield math.prod(state[:, 1])
+        product = diag * entries
+        product += upper * after
+        product += 0.25 * before
+        entries[...] = product
+
+
+def _inner_values(a, b, z, moments):
+    """The component series summed termwise over a rule's moments M_k,
+    sum_k c_k z^k M_k: the rule sum of F(z b) over its nodes b, taken
+    term by term (``_node_moments`` or ``_matrix_moments``).
 
     One ``hyper.component_series`` call at the package's stop rule and
     term cap, so the sum is gated, terminated and checked as every
@@ -373,7 +419,7 @@ def _inner_values(a, b, z, start, step):
     1.0003 at imaginary parts near 3), or the Laplace bases scaled into
     (0, 1].
     """
-    return hyper.component_series(a, b, z, DEFAULT_TOL, DEFAULT_CAP, start, step)[0]
+    return hyper.component_series(a, b, z, DEFAULT_TOL, DEFAULT_CAP, moments)[0]
 
 
 class _PerComponent(NamedTuple):
@@ -386,30 +432,25 @@ class _PerComponent(NamedTuple):
 
 def _component_matrices(nodes: int, exponents, sign: float) -> _PerComponent:
     """The Jacobi matrices of every Gauss rule of both idempotent
-    components, from one stacked ``_jacobi_stack`` call, as the
-    (start, step) stacks ``_inner_values`` takes.
+    components, from one stacked ``_jacobi_stack`` call, as each
+    component's (mass, diag, off) slices for ``_matrix_moments``.
 
     `exponents` holds, per component, the list of its rules'
     (t_exp, one_minus_t_exp) pairs.  Each rule of weight
     t^B (1-t)^A becomes the n x n matrix B = (I + sign J) / 2 of its
     bases t (sign 1) or 1 - t (sign -1), J its Jacobi matrix on
-    [-1, 1]; B keeps J's squared off-diagonal divided by 4, whichever
-    the sign.  The moments mass (B^k)_00 are the n-node Gauss rule's
-    sums sum_i w_i b_i^k for every k, with no node solved for.
+    [-1, 1]: its diagonal (1 + sign diag J) / 2, and J's squared
+    off-diagonal, whichever the sign, 4 times B's.
     """
     one, two = exponents
     _, _, mass, diag, off = _jacobi_stack(nodes, *zip(*one, *two))
-    start = np.zeros_like(diag)
-    start[:, :1] = mass
-    step = np.zeros((len(diag), 2, nodes), dtype=np.complex128)
-    step[:, 0] = (1.0 + sign * diag) / 2.0
-    step[:, 1, :-1] = off / 4.0
-    return _PerComponent((start[: len(one)], step[: len(one)]), (start[len(one) :], step[len(one) :]))
+    stack, split = (mass, (1.0 + sign * diag) / 2.0, off), len(one)
+    return _PerComponent(tuple(x[:split] for x in stack), tuple(x[split:] for x in stack))
 
 
 def _euler_comp(a, b, z, matrices):
     """Component worker: (beta-kernel quadrature, series) at z."""
-    integral = _inner_values(a[1:], b[1:], z, *matrices)
+    integral = _inner_values(a[1:], b[1:], z, _matrix_moments(*matrices))
     pre = complex_gamma(b[0]) / (complex_gamma(a[0]) * complex_gamma(b[0] - a[0]))
     return complex(pre * integral), hyper.component_series(a, b, z)[0]
 
@@ -463,7 +504,7 @@ def _laplace_comp(a, b, z, v, rule):
     s = t.max()
     weights = np.concatenate((w1 * np.exp(-t1), math.exp(-1.0) * wl * t ** (v - 1.0)))
     bases = np.concatenate((t1, t)) / s
-    lhs = complex(_inner_values(a, b, z * s, weights[None], bases[None]) / complex_gamma(v))
+    lhs = complex(_inner_values(a, b, z * s, _node_moments(weights, bases)) / complex_gamma(v))
     return lhs, hyper.component_series([v] + a, b, z)[0]
 
 
@@ -505,7 +546,7 @@ def _double_comp(a, b, z, m, n, matrices):
     of bases 1 - t): O(nK) work for K terms where the grid takes
     O(n^2 K).
     """
-    lhs = _inner_values(a, b, z, *matrices)
+    lhs = _inner_values(a, b, z, _matrix_moments(*matrices))
     pre = complex_gamma(m) * complex_gamma(n) / complex_gamma(m + n + 1.0)
     series = hyper.component_series(a + [1.0 + 0j], b + [m + n + 1.0], z)[0]
     return complex(lhs), complex(pre * series)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bchyper import BiComplex, NoConvergenceError, PfqParams, kernels, pfq, verify
+from bchyper import BiComplex, NoConvergenceError, PfqParams, kernels, pfq, quad, verify
 from bchyper.gamma import complex_pochhammer
 
 GAUSS_A = np.array([0.7 + 0.1j, 1.2 - 0.05j], dtype=np.complex128)
@@ -105,24 +106,33 @@ def _representable(w) -> bool:
 
 
 class TestMomentSum:
-    """``series_sum`` over a stack of R rules, each term weighted by the
-    product of the rules' moments: node rules, or Jacobi matrices."""
+    """``series_sum`` with an iterator of moments: term k is c_k z^k M_k.
+    ``quad`` builds the moments of its Gauss rules from their nodes or
+    their Jacobi matrices."""
 
-    # one or two one-node rules of unit weight and base: every moment is
-    # 1, so the terms, stop point and status are the plain sum's, bit for bit
-    UNITS = (np.ones((1, 1), dtype=np.complex128), np.ones((2, 1), dtype=np.complex128))
+    @staticmethod
+    def _units():
+        """Moment sequences that are 1 for every k: a constant, one
+        one-node rule of unit weight and base, and a stack of two 1 x 1
+        unit matrices.  The terms, stop point and status are then the
+        plain sum's, bit for bit."""
+        return [
+            itertools.repeat(1.0 + 0.0j),
+            quad._node_moments(np.ones(1), np.ones(1)),
+            quad._matrix_moments(np.ones((2, 1)), np.ones((2, 1)), np.zeros((2, 0))),
+        ]
 
     def test_one_node_rules_are_the_scalar_sum(self, rng):
         radii = np.linspace(0.05, 0.95, 12)
         for z in radii * np.exp(2j * np.pi * rng.random(radii.size)):
             for cap in (10_000, 20):
                 v, n, _, s = kernels.series_sum(GAUSS_A, GAUSS_B, complex(z), 1e-15, cap)
-                for unit in self.UNITS:
+                for unit, moments in enumerate(self._units()):
                     got, terms, _, status = kernels.series_sum(
-                        GAUSS_A, GAUSS_B, complex(z), 1e-15, cap, unit, unit
+                        GAUSS_A, GAUSS_B, complex(z), 1e-15, cap, moments
                     )
                     assert _same_bits(complex(got), complex(v)) and status == s, (
-                        abs(z), cap, len(unit),
+                        abs(z), cap, unit,
                     )
                     assert terms == n
 
@@ -130,22 +140,34 @@ class TestMomentSum:
         # the pole at -3 lies past the degree 2: one more step would divide by zero
         a, b, z = [-2.0, 0.7], [-3.0], 0.6 - 0.3j
         want = kernels.series_sum_terminating(a, b, z, 2)
-        for unit in self.UNITS:
-            got, terms, _, status = kernels.series_sum(a, b, z, None, 2, unit, unit)
-            assert _same_bits(complex(got), complex(want)), len(unit)
+        for unit, moments in enumerate(self._units()):
+            got, terms, _, status = kernels.series_sum(a, b, z, None, 2, moments)
+            assert _same_bits(complex(got), complex(want)), unit
             assert terms == 3 and status == kernels.STATUS_OK
+
+    @pytest.mark.parametrize(
+        "tol, cap, status",
+        [(1e-15, 10_000, kernels.STATUS_OK), (None, 12, kernels.STATUS_OK),
+         (1e-15, 20, kernels.STATUS_CAP)],
+        ids=["stopped", "terminating", "capped"],
+    )
+    def test_takes_exactly_terms_used_moments(self, tol, cap, status):
+        # M_0 .. M_n for the n + 1 terms: none is built past the last term
+        pulled = itertools.count()
+        moments = (0.9**k for k in pulled)
+        _, terms, _, got_status = kernels.series_sum(GAUSS_A, GAUSS_B, 0.9, tol, cap, moments)
+        assert got_status == status
+        assert next(pulled) == terms
 
     @pytest.mark.parametrize("rules", [1, 2])
     def test_matrix_stack_is_its_eigen_rule(self, rng, rules):
         # a real symmetric tridiagonal B with spectrum in (0, 1) and the
         # node rule of its eigendecomposition: nodes the eigenvalues,
-        # weights mass v_0i^2; their moments mass (B^k)_00 agree for every k
+        # weights mass v_0i^2; their moments mass (B^k)_00 agree for
+        # every k, and a stack's moments are the product of its rules'
         n, mass = 24, 0.8
         diag = rng.uniform(0.3, 0.7, (rules, n))
         off = rng.uniform(0.01, 0.05, (rules, n - 1))
-        start = np.zeros((rules, n), dtype=np.complex128)
-        start[:, 0] = mass
-        step = np.stack((diag, np.pad(off, ((0, 0), (0, 1)))), axis=1).astype(np.complex128)
         weights, bases = np.empty((rules, n)), np.empty((rules, n))
         for r in range(rules):
             dense = np.diag(diag[r]) + np.diag(np.sqrt(off[r]), 1) + np.diag(np.sqrt(off[r]), -1)
@@ -153,11 +175,14 @@ class TestMomentSum:
             weights[r] = mass * vectors[0] ** 2
         for z in (0.9, -0.7 + 0.5j):
             for tol, cap in ((1e-15, 10_000), (None, 40)):
+                # the matrix moments take 4 times B's squared off-diagonal
+                matrices = quad._matrix_moments(np.full((rules, 1), mass), diag, 4.0 * off)
                 got, _, tail, status = kernels.series_sum(
-                    GAUSS_A, GAUSS_B, z, tol, cap, start, step
+                    GAUSS_A, GAUSS_B, z, tol, cap, matrices
                 )
+                rows = zip(*(quad._node_moments(w, b) for w, b in zip(weights, bases)))
                 want, _, _, want_status = kernels.series_sum(
-                    GAUSS_A, GAUSS_B, z, tol, cap, weights, bases
+                    GAUSS_A, GAUSS_B, z, tol, cap, map(math.prod, rows)
                 )
                 assert abs(got - want) <= 1e-14 * abs(want), (z, tol, abs(got - want))
                 assert status == want_status == kernels.STATUS_OK
@@ -165,10 +190,9 @@ class TestMomentSum:
 
     def test_tail_is_nan(self):
         # _tail majorises the plain series, not the moment-weighted one
-        weights = np.full((1, 4), 0.25, dtype=np.complex128)
-        bases = np.linspace(0.1, 0.7, 4).reshape(1, 4).astype(np.complex128)
+        moments = quad._node_moments(np.full(4, 0.25), np.linspace(0.1, 0.7, 4))
         _, _, tail, status = kernels.series_sum(
-            GAUSS_A, GAUSS_B, 0.5 + 0.2j, 1e-15, 10_000, weights, bases
+            GAUSS_A, GAUSS_B, 0.5 + 0.2j, 1e-15, 10_000, moments
         )
         assert status == kernels.STATUS_OK and math.isnan(tail)
 

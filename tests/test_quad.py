@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from bchyper import (
     BiComplex,
     CurveKind,
     DomainError,
+    InvalidParamsError,
     PfqParams,
     PreconditionError,
     ProductCurve,
@@ -35,6 +37,10 @@ def _beta_moment(B, A, k):
     """integral_0^1 t^(B+k) (1-t)^A dt at 30 digits."""
     with mpmath.workdps(30):
         return complex(mpmath.beta(mpmath.mpc(B) + 1 + k, mpmath.mpc(A) + 1))
+
+
+def _no_rule_built(*args):
+    raise AssertionError("a Gauss rule was built")
 
 
 def _aberth_heights(monkeypatch, n, B, A):
@@ -94,8 +100,8 @@ class TestJacobiRule:
             B = complex(rng.uniform(-0.7, 1.2), rng.uniform(-0.4, 0.4))
             A = complex(rng.uniform(-0.7, 3.2), rng.uniform(-0.4, 0.4))
             t, _ = jacobi_rule_01(n, B, A)
-            diag, off = quad._jacobi_coefficients(n, A, B)
-            sb = np.sqrt(off)
+            diag, off = quad._jacobi_coefficients(n, np.array([[A]]), np.array([[B]]))
+            diag, sb = diag[0], np.sqrt(off[0])
             dense = np.diag(diag) + np.diag(sb, 1) + np.diag(sb, -1)
             want = np.sort_complex((1.0 + np.linalg.eigvals(dense)) / 2.0)
             assert np.max(np.abs(t - want)) <= 1e-13, (B, A)
@@ -292,21 +298,16 @@ class TestPinnedRuleBits:
 class TestJacobiMatrixMoments:
     """Euler and double sum over the moments mass (B^k)_00 of the n x n
     matrices B = (I +- J) / 2 that ``_component_matrices`` builds, J
-    the rule's Jacobi matrix: the n-node Gauss rule's own sums
-    sum_i w_i b_i^k over its bases b = t or 1 - t, for every k."""
+    the rule's Jacobi matrix, as ``_matrix_moments`` yields them: the
+    n-node Gauss rule's own sums sum_i w_i b_i^k over its bases b = t
+    or 1 - t, for every k."""
 
     @staticmethod
     def _matrix_moments(n, B, A, sign, count):
-        """mass (B^k)_00 for k < count, by dense products with the
-        symmetric matrix of the built diagonal and squared off-diagonal."""
-        (start, step), _ = quad._component_matrices(n, [[(B, A)], []], sign)
-        off = np.sqrt(step[0, 1, :-1])
-        dense = np.diag(step[0, 0]) + np.diag(off, 1) + np.diag(off, -1)
-        state, out = start[0], []
-        for _ in range(count):
-            out.append(state[0])
-            state = dense @ state
-        return np.array(out)
+        """The first `count` moments ``_matrix_moments`` yields for the
+        one rule of weight t^B (1-t)^A."""
+        matrices, _ = quad._component_matrices(n, [[(B, A)], []], sign)
+        return np.array(list(itertools.islice(quad._matrix_moments(*matrices), count)))
 
     @staticmethod
     def _box_pairs(rng, count):
@@ -400,12 +401,14 @@ class TestInnerSeriesLanes:
     """Every integral representation sums its inner series over its
     rules' moments once per component: over Jacobi matrices for Euler
     and double, and over one node row for Laplace (its [0, 1] rule and
-    its kept Gauss-Laguerre tail nodes).  No series kernel sees more
-    than n arguments, or n plus the kept tail nodes for Laplace, whose
-    row is the union of two rules; that is O(n), where a node grid
-    would be n^2.  The lockstep array kernel is not called."""
+    its kept Gauss-Laguerre tail nodes).  No moment generator receives
+    rows longer than n, or n plus the kept tail nodes for Laplace, whose
+    row is the union of two rules, and every series kernel takes one
+    argument; that is O(n), where a node grid would be n^2.  The
+    lockstep array kernel is not called."""
 
     KERNELS = ("series_sum", "series_sum_many", "series_sum_terminating")
+    GENERATORS = {"_node_moments": "node sum", "_matrix_moments": "matrix sum"}
 
     @pytest.mark.parametrize("integral", ["euler", "laplace", "double"])
     @pytest.mark.parametrize(
@@ -417,18 +420,20 @@ class TestInnerSeriesLanes:
         called, sizes, inner_calls = [], [], []
         for name in self.KERNELS:
             def recording(a, b, z, *rest, name=name, kernel=getattr(kernels, name)):
-                # a series_sum call with a rule stack (start, step) is a
-                # moment sum: over Jacobi matrices when the step is (R, 2, n)
-                if len(rest) > 2 and rest[3] is not None:
-                    called.append("matrix sum" if np.ndim(rest[3]) == 3 else "node sum")
-                else:
-                    called.append(name)
-                # z, and the rows of the start and step stacks
+                called.append(name)
                 sizes.append(np.size(z))
-                sizes.extend(np.shape(x)[-1] for x in rest if np.ndim(x))
                 return kernel(a, b, z, *rest)
 
             monkeypatch.setattr(kernels, name, recording)
+        for name, kind in self.GENERATORS.items():
+            def generating(*arrays, kind=kind, build=getattr(quad, name)):
+                # the rows of the weights and bases, or of the masses,
+                # diagonals and squared off-diagonals
+                called.append(kind)
+                sizes.extend(np.shape(x)[-1] for x in arrays)
+                return build(*arrays)
+
+            monkeypatch.setattr(quad, name, generating)
         inner = quad._inner_values
 
         def recording_inner(*args):
@@ -440,6 +445,7 @@ class TestInnerSeriesLanes:
         assert len(inner_calls) == 2
         kind = "node sum" if integral == "laplace" else "matrix sum"
         assert called.count(kind) == len(inner_calls)
+        assert len(set(self.GENERATORS.values()) & set(called)) == 1
         assert "series_sum_many" not in called
         limit = 128
         if integral == "laplace":
@@ -461,7 +467,7 @@ class TestInnerSeriesLanes:
 
         def recording(*args):
             out = series_sum(*args)
-            if args[5] is not None:  # a moment sum: the call carries a rule stack (start, step)
+            if args[5] is not None:  # a moment sum: the call carries a moment iterator
                 statuses.append(out[3])
             return out
 
@@ -623,6 +629,16 @@ class TestLaplace:
         with pytest.raises(PreconditionError):
             laplace_integral(from_idempotent(-0.5, 1.0), PfqParams([], []), BiComplex(0.1))
 
+    @pytest.mark.parametrize("v", [math.nan, BiComplex(1.5, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_v_is_refused(self, monkeypatch, v):
+        # refused by name and component before a rule is built, with no
+        # numpy warning on the way
+        monkeypatch.setattr(quad, "_jacobi_stack", _no_rule_built)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParamsError, match="v must be finite.*component 1"):
+                laplace_integral(v, PfqParams([0.5], [1.5]), BiComplex(0.3))
+
     def test_node_doubling_converges(self):
         v = from_idempotent(0.6, 1.3)
         params = PfqParams([BiComplex(1.1)], [BiComplex(1.6)])
@@ -665,6 +681,18 @@ class TestDouble:
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             double_integral(from_idempotent(-1.0, 1.0), 1.0, PfqParams([], []), BiComplex(0.1))
+
+    @pytest.mark.parametrize(
+        "m, n, name",
+        [(math.inf, 1.0, "m"), (1.0, complex(0.0, math.nan), "n")],
+        ids=["inf-m", "nan-n"],
+    )
+    def test_non_finite_m_or_n_is_refused(self, monkeypatch, m, n, name):
+        monkeypatch.setattr(quad, "_jacobi_stack", _no_rule_built)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParamsError, match=f"{name} must be finite.*component 1"):
+                double_integral(m, n, PfqParams([0.5, 0.7], [1.5]), BiComplex(0.3))
 
     def test_degree_zero_inner_series(self):
         # numerator 0: the inner series is the constant 1 at every node
